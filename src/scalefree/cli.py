@@ -13,7 +13,6 @@ per-series failures recorded in the report.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -21,16 +20,12 @@ import numpy as np
 
 from .errors import DataFormatError, ScaleFreeError
 from .grouptests import run_battery
-from .pipeline import (AnalysisConfig, _FMT, load_estimates_csv,
-                       load_taxonomy, run_full_analysis)
+from .pipeline import (AnalysisConfig, _csv_rows, _csv_writer, _fmt,
+                       load_estimates_csv, load_taxonomy, run_full_analysis)
 from .scaling import (fit_loglog, fit_psd_powerlaw, scale_to_frequency,
                       welch_psd, wavelet_spectrum)
 from .synth import GeneratorSpec, generate
 from .wavelet import Signal, build_wavelet, dwt
-
-
-def _fmt(x) -> str:
-    return _FMT % float(x)
 
 
 def _cmd_analyze(args) -> int:
@@ -49,9 +44,7 @@ def _cmd_synth(args) -> int:
         sampling_rate=args.rate,
     )
     signal = generate(spec)
-    with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "value"])
+    with _csv_writer(args.out, ["t", "value"]) as w:
         for k, v in enumerate(signal.samples):
             w.writerow([_fmt(k / args.rate), _fmt(v)])
     print(f"wrote {args.length} samples to {args.out}")
@@ -59,12 +52,7 @@ def _cmd_synth(args) -> int:
 
 
 def _read_column(path, column):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        header = [h.strip() for h in header]
+    with _csv_rows(path) as (header, rows):
         if column in header:
             idx = header.index(column)
         else:
@@ -77,9 +65,7 @@ def _read_column(path, column):
             if not 0 <= idx < len(header):
                 raise DataFormatError(f"{path}: column index {idx} out of range")
         values = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for line_no, row in rows:
             try:
                 values.append(float(row[idx]))
             except (ValueError, IndexError):
@@ -111,9 +97,8 @@ def _cmd_spectrum(args) -> int:
         order = np.argsort(spectrum.octave_index)
         for j, p in zip(spectrum.octave_index[order], spectrum.power[order]):
             rows.append((int(j), np.log2(p), fit.slope * j + fit.intercept))
-    with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["octave_or_freq", "log2_value", "fitted_value"])
+    with _csv_writer(args.out,
+                     ["octave_or_freq", "log2_value", "fitted_value"]) as w:
         for a, b, c in rows:
             w.writerow([_fmt(a), _fmt(b), _fmt(c)])
     print(f"wrote {len(rows)} spectrum rows to {args.out}")
@@ -182,10 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScaleFreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ScaleFreeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

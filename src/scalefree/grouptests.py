@@ -146,7 +146,6 @@ class GroupSummary:
     map_means: np.ndarray       # (K, 2, P)
     map_sds: np.ndarray         # (K, 2, P)
     class_means: dict           # class -> (2, P)
-    class_sds: dict             # class -> (2, P), average of per-map SDs
     network_means: dict
     artifact_means: dict
     state_differences: np.ndarray  # (K, P), task - rest
@@ -159,7 +158,6 @@ def aggregate(table: GroupTable) -> GroupSummary:
     map_means = est.mean(axis=0)
     map_sds = est.std(axis=0, ddof=1)
     class_means = {}
-    class_sds = {}
     class_diffs = {}
     for cls in CLASSES:
         idx = table.taxonomy.indices(cls)
@@ -168,7 +166,6 @@ def aggregate(table: GroupTable) -> GroupSummary:
                           stacklevel=2)
             continue
         class_means[cls] = map_means[idx].mean(axis=0)
-        class_sds[cls] = map_sds[idx].mean(axis=0)
         class_diffs[cls] = (map_means[idx, 1, :] - map_means[idx, 0, :]).mean(axis=0)
 
     network_means = {}
@@ -186,7 +183,6 @@ def aggregate(table: GroupTable) -> GroupSummary:
         map_means=map_means,
         map_sds=map_sds,
         class_means=class_means,
-        class_sds=class_sds,
         network_means=network_means,
         artifact_means=artifact_means,
         state_differences=map_means[:, 1, :] - map_means[:, 0, :],

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.stats import kstat
 
 from .errors import DegenerateInputError, ParameterError, ScaleRangeError
-from .scaling import fit_loglog
+from .scaling import _ols_line, fit_loglog
 from .wavelet import WaveletPyramid, sup_magnitudes
 
 DEFAULT_Q_GRID = (-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, -0.25, 0.0,
@@ -88,10 +88,6 @@ class LeaderPyramid:
     @property
     def max_octave(self) -> int:
         return len(self.leaders)
-
-    @property
-    def n_valid(self) -> tuple:
-        return tuple(self.valid_values(j).size for j in range(1, self.max_octave + 1))
 
     def level(self, j: int) -> np.ndarray:
         if not 1 <= j <= self.max_octave:
@@ -222,10 +218,16 @@ def zeta_exponents(sf: StructureFunctions, j1: int, j2: int) -> np.ndarray:
     Returns an array of (q, zeta_hat) rows with
     zeta_hat(q) = zeta_hat(q, gamma) - gamma q.
     """
-    fits = _zeta_fits(sf, j1, j2)
+    return _zeta_table(sf, _zeta_fits(sf, j1, j2))
+
+
+def _zeta_table(sf: StructureFunctions, fits: list,
+                reference_shift: int = 0) -> np.ndarray:
+    """(q, zeta_hat) rows from the per-q fits: slope - (gamma - shift) q."""
     out = np.empty((sf.q_grid.size, 2))
     out[:, 0] = sf.q_grid
-    out[:, 1] = [f.slope for f in fits] - sf.gamma * sf.q_grid
+    out[:, 1] = ([f.slope for f in fits]
+                 - (sf.gamma - reference_shift) * sf.q_grid)
     return out
 
 
@@ -248,16 +250,7 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
             f"octave range ({j1}, {j2}) outside available 1..{leaders.max_octave}"
         )
     counts = {j: leaders.valid_values(j).size for j in range(j1, j2 + 1)}
-    thin = [j for j, c in counts.items() if c < MIN_CUMULANT_COUNT]
-    if thin:
-        usable = [j for j in range(j1, min(thin))
-                  if counts[j] >= MIN_CUMULANT_COUNT]
-        hint = (f"; largest workable j2 is {max(usable)}"
-                if len(usable) >= 2 else "")
-        raise ScaleRangeError(
-            f"octave {min(thin)} has {counts[min(thin)]} valid leaders "
-            f"(< {MIN_CUMULANT_COUNT}) for sample cumulants{hint}"
-        )
+    _require_cumulant_counts(counts)
 
     octaves = np.arange(j1, j2 + 1, dtype=np.float64)
     cum_rows = []
@@ -270,7 +263,7 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
     c_p = np.empty(p_max)
     r2 = np.empty(p_max)
     for p in range(p_max):
-        slope, _, _, rsq = _plain_ols(x, cum[:, p])
+        slope, _, _, rsq = _ols_line(x, cum[:, p], None)
         c_p[p] = slope
         r2[p] = rsq
     c_p[0] -= leaders.gamma
@@ -281,17 +274,19 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
     return c_p, diagnostics
 
 
-def _plain_ols(x: np.ndarray, y: np.ndarray):
-    xbar = x.mean()
-    ybar = y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - ybar))) / sxx
-    intercept = ybar - slope * xbar
-    resid = y - intercept - slope * x
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - ybar) ** 2))
-    r_squared = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-    return slope, intercept, 0.0, r_squared
+def _require_cumulant_counts(counts: dict, prefix: str = "") -> None:
+    """Raise ScaleRangeError, prefixed, if an octave has fewer than
+    MIN_CUMULANT_COUNT valid leaders in counts {octave: count}."""
+    thin = [j for j, c in counts.items() if c < MIN_CUMULANT_COUNT]
+    if thin:
+        usable = [j for j in range(min(counts), min(thin))
+                  if counts[j] >= MIN_CUMULANT_COUNT]
+        hint = (f"; largest workable j2 is {max(usable)}"
+                if len(usable) >= 2 else "")
+        raise ScaleRangeError(
+            f"{prefix}octave {min(thin)} has {counts[min(thin)]} valid leaders "
+            f"(< {MIN_CUMULANT_COUNT}) for sample cumulants{hint}"
+        )
 
 
 def legendre_spectrum(zeta_pairs) -> np.ndarray:
@@ -362,12 +357,6 @@ class MfEstimate:
     stationary: bool | None = None
     label: str = ""
 
-    def parabolic(self, h_grid=None) -> np.ndarray:
-        if h_grid is None:
-            width = math.sqrt(2.0 * abs(self.c2)) if self.c2 < 0 else 0.1
-            h_grid = np.linspace(self.c1 - 1.5 * width, self.c1 + 1.5 * width, 257)
-        return parabolic_spectrum(self.c1, min(self.c2, 0.0), h_grid)
-
 
 def multifractal_estimate(pyramid: WaveletPyramid, j1: int, j2: int,
                           q_grid=DEFAULT_Q_GRID, gamma_mode: str = "fixed",
@@ -387,10 +376,7 @@ def multifractal_estimate(pyramid: WaveletPyramid, j1: int, j2: int,
     leaders = compute_leaders(pyramid, gamma, h_min=h_min)
     sf = structure_functions(leaders, q_grid)
     fits = _zeta_fits(sf, j1, j2)
-    zeta = np.empty((sf.q_grid.size, 2))
-    zeta[:, 0] = sf.q_grid
-    zeta[:, 1] = ([f.slope for f in fits]
-                  - (sf.gamma - reference_shift) * sf.q_grid)
+    zeta = _zeta_table(sf, fits, reference_shift)
     c_p, cum_diag = log_cumulants(leaders, p_max, j1, j2)
     c_p = c_p.copy()
     c_p[0] += reference_shift

@@ -15,27 +15,29 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (DataFormatError, ParameterError, ScaleFreeError,
-                     ScaleRangeError)
+from .errors import (DataFormatError, EstimationError, ParameterError,
+                     ScaleFreeError, ScaleRangeError)
 from .grouptests import (PARAMS, STATES, BatteryReport, GroupSummary,
                          GroupTable, MapTaxonomy, aggregate, run_battery)
-from .errors import EstimationError
-from .leaders_mf import DEFAULT_Q_GRID, MfEstimate, multifractal_estimate
+from .leaders_mf import (DEFAULT_Q_GRID, MfEstimate, _require_cumulant_counts,
+                         compute_leaders, multifractal_estimate)
 from .scaling import (estimate_hurst, fit_loglog, fit_psd_powerlaw,
                       scale_to_frequency, welch_psd, wavelet_spectrum)
 from .synth import GeneratorSpec, gen_fgn, gen_mrw
 from .wavelet import (MotherWavelet, Signal, build_wavelet, dwt,
                       max_feasible_octave, sup_magnitudes)
-
-_FMT = "%.17g"
 
 DEFAULT_SYNTHETIC = {
     "subjects": 12,
@@ -51,25 +53,62 @@ ARTIFACT_CYCLE = ("Ven", "WhM", "Mov", "Oth")
 
 
 def _fmt(x) -> str:
+    """17 significant digits, so every float round-trips exactly."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"
-    return _FMT % float(x)
+    return "%.17g" % float(x)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON value fits a type hint: int, float (any
+    number), str, dict, None, a union of these, or tuple[...] for a list."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value) if isinstance(value, list) else ()
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if args:
+        return any(_fits(value, arg) for arg in args)
+    if hint is type(None) or isinstance(value, bool):  # true is no number
+        return value is None
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check(value, hint, path: str) -> None:
+    """Raise DataFormatError naming the key path unless value fits hint."""
+    if not _fits(value, hint):
+        expected = str(hint) if typing.get_args(hint) else hint.__name__
+        raise DataFormatError(
+            f"config key {path}: expected {expected}, got {value!r}")
+
+
+# JSON sections whose keys map onto prefixed AnalysisConfig fields.
+_SECTIONS = {
+    "gamma": {"mode": "gamma_mode", "value": "gamma_value", "eps": "gamma_eps"},
+    "welch": {"segment_length": "welch_segment_length",
+              "overlap_fraction": "welch_overlap", "window": "welch_window"},
+}
+# What load_dataset reads from the inputs section and each subject entry.
+_INPUTS_KEYS = {"taxonomy": str, "subjects": tuple[dict, ...],
+                "expected_class_counts": tuple[int, int, int] | None}
+_SUBJECT_KEYS = {"id": str | int, "rest": str, "task": str}
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Resolved analysis parameters; see README for the JSON schema."""
 
-    octave_range: tuple = (3, 6)
+    octave_range: tuple[int, int] = (3, 6)
     n_vanishing: int = 3
     gamma_mode: str = "fixed"
     gamma_value: float = 2.0
     gamma_eps: float = 0.1
-    q_grid: tuple = DEFAULT_Q_GRID
+    q_grid: tuple[float, ...] = DEFAULT_Q_GRID
     p_max: int = 2
-    alpha_levels: tuple = (0.01, 0.05)
+    alpha_levels: tuple[float, ...] = (0.01, 0.05)
     welch_segment_length: int | None = None
     welch_overlap: float = 0.5
     welch_window: str = "hann"
@@ -104,26 +143,34 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
+        """Build from the JSON schema, the one place a config is validated:
+        an unknown key, or a value that does not fit its field's annotation,
+        raises DataFormatError naming the key path."""
+        _check(raw, dict, "(top level)")
+        hints = typing.get_type_hints(cls)
         data = dict(raw)
-        gamma = data.pop("gamma", None)
-        if gamma is not None:
-            data["gamma_mode"] = gamma.get("mode", "fixed")
-            if "value" in gamma:
-                data["gamma_value"] = gamma["value"]
-            if "eps" in gamma:
-                data["gamma_eps"] = gamma["eps"]
-        welch = data.pop("welch", None)
-        if welch is not None:
-            if "segment_length" in welch:
-                data["welch_segment_length"] = welch["segment_length"]
-            if "overlap_fraction" in welch:
-                data["welch_overlap"] = welch["overlap_fraction"]
-            if "window" in welch:
-                data["welch_window"] = welch["window"]
-        unknown = set(data) - known
+        paths = {}
+        for section, names in _SECTIONS.items():
+            nested = data.pop(section, None)
+            if nested is None:
+                continue
+            _check(nested, dict, section)
+            for key, value in nested.items():
+                # an unknown key stays under its path and is reported below
+                name = names.get(key, f"{section}.{key}")
+                data[name] = value
+                paths[name] = f"{section}.{key}"
+        unknown = set(data) - set(hints)
         if unknown:
             raise DataFormatError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            _check(value, hints[name], paths.get(name, name))
+        if data.get("inputs") is not None:
+            for key, hint in _INPUTS_KEYS.items():
+                _check(data["inputs"].get(key), hint, f"inputs.{key}")
+            for i, entry in enumerate(data["inputs"]["subjects"]):
+                for key, hint in _SUBJECT_KEYS.items():
+                    _check(entry.get(key), hint, f"inputs.subjects[{i}].{key}")
         return cls(**data)
 
     @classmethod
@@ -144,19 +191,16 @@ class AnalysisConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def _resolve_synthetic(raw: dict) -> dict:
-    out = json.loads(json.dumps(DEFAULT_SYNTHETIC))
+def _resolve_synthetic(raw: dict, defaults: dict = DEFAULT_SYNTHETIC,
+                       path: str = "synthetic") -> dict:
+    """A copy of defaults with raw's values, each of its default's kind."""
+    out = json.loads(json.dumps(defaults))
     for key, value in raw.items():
         if key not in out:
-            raise DataFormatError(f"unknown synthetic key {key!r}")
-        if isinstance(out[key], dict):
-            unknown = set(value) - set(out[key])
-            if unknown:
-                raise DataFormatError(
-                    f"unknown synthetic.{key} keys: {sorted(unknown)}")
-            out[key].update(value)
-        else:
-            out[key] = value
+            raise DataFormatError(f"unknown config key {path}.{key}")
+        _check(value, type(out[key]), f"{path}.{key}")
+        out[key] = (_resolve_synthetic(value, out[key], f"{path}.{key}")
+                    if isinstance(value, dict) else value)
     return out
 
 
@@ -189,20 +233,33 @@ class Dataset:
         raise ParameterError("dataset has no subjects")
 
 
+@contextmanager
+def _csv_rows(path):
+    """Yield the stripped header of a CSV file (DataFormatError if empty)
+    and an iterator of (line_no, cells) over its non-blank rows."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
+        yield ([h.strip() for h in header],
+               ((line_no, row) for line_no, row in enumerate(reader, start=2)
+                if any(c.strip() for c in row)))
+
+
 def load_taxonomy(path) -> MapTaxonomy:
     """Read the taxonomy CSV (map_index, class, network_or_artifact)."""
     classes = {}
     tags = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["map_index", "class"]:
+    with _csv_rows(path) as (header, rows):
+        if header[:2] != ["map_index", "class"]:
             raise DataFormatError(
                 f"{path}: expected header map_index,class,network_or_artifact"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for line_no, row in rows:
+            if len(row) < 2:
+                raise DataFormatError(
+                    f"{path}:{line_no}: expected map_index and class columns")
             try:
                 k = int(row[0])
             except ValueError:
@@ -227,12 +284,7 @@ def load_taxonomy(path) -> MapTaxonomy:
 
 
 def _load_run_csv(path, n_maps: int) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        header = [h.strip() for h in header]
+    with _csv_rows(path) as (header, lines):
         expected = ["t"] + [f"map_{k}" for k in range(1, n_maps + 1)]
         if header != expected:
             raise DataFormatError(
@@ -240,9 +292,7 @@ def _load_run_csv(path, n_maps: int) -> np.ndarray:
                 f"taxonomy declares {n_maps}"
             )
         rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for line_no, row in lines:
             if len(row) != n_maps + 1:
                 raise DataFormatError(
                     f"{path}:{line_no}: expected {n_maps + 1} columns, got {len(row)}"
@@ -344,12 +394,7 @@ def analyze_series(signal: Signal, config: AnalysisConfig,
     if wavelet is None:
         wavelet = build_wavelet(config.n_vanishing)
     try:
-        feasible = max_feasible_octave(len(signal), wavelet)
-        if j2 > feasible:
-            raise ScaleRangeError(
-                f"length {len(signal)} supports octaves up to {feasible}, "
-                f"configured range is ({j1}, {j2})"
-            )
+        _require_feasible(len(signal), config, wavelet)
         pyramid = dwt(signal, wavelet, j2)
         sup_magnitudes(pyramid, j1, j2)  # degenerate-input gate
 
@@ -401,8 +446,8 @@ def _series_seed(seed: int, subject_idx: int, map_idx: int, state_idx: int) -> i
     return int(ss.generate_state(2, np.uint64)[0])
 
 
-def _synthetic_signal(config: AnalysisConfig, subject_idx: int, map_idx: int,
-                      state_idx: int, cls: str, label: str) -> Signal:
+def _synthetic_samples(config: AnalysisConfig, subject_idx: int, map_idx: int,
+                       state_idx: int, cls: str) -> np.ndarray:
     syn = config.synthetic
     hurst = (syn["rest_hurst"] if state_idx == 0 else syn["task_hurst"])[cls]
     lambda2 = syn["lambda2"][cls]
@@ -412,42 +457,27 @@ def _synthetic_signal(config: AnalysisConfig, subject_idx: int, map_idx: int,
         walk = gen_mrw(GeneratorSpec(
             kind="mrw", hurst=hurst, length=n, seed=seed, lambda2=lambda2,
             sampling_rate=config.sampling_rate))
-        samples = np.diff(walk.samples, prepend=0.0)
-    else:
-        samples = gen_fgn(GeneratorSpec(
-            kind="fgn", hurst=hurst, length=n, seed=seed,
-            sampling_rate=config.sampling_rate)).samples
-    return Signal(samples, config.sampling_rate, label=label)
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    key: tuple
-    estimate: MfEstimate
-    spectrum_octaves: tuple
-    spectrum_log2: tuple
-    fit_slope: float
-    fit_intercept: float
+        return np.diff(walk.samples, prepend=0.0)
+    return gen_fgn(GeneratorSpec(
+        kind="fgn", hurst=hurst, length=n, seed=seed,
+        sampling_rate=config.sampling_rate)).samples
 
 
 def _run_one(task) -> tuple:
-    key, samples, sampling_rate, label, config = task
+    key, samples, config, wavelet = task
     try:
-        signal = Signal(np.asarray(samples), sampling_rate, label=label)
-        estimate = analyze_series(signal, config)
-        fit = estimate.diagnostics["spectrum_fit"]
-        return key, SeriesResult(
-            key=key, estimate=estimate,
-            spectrum_octaves=estimate.diagnostics["spectrum_octaves"],
-            spectrum_log2=estimate.diagnostics["spectrum_log2"],
-            fit_slope=fit.slope, fit_intercept=fit.intercept,
-        ), None
+        signal = Signal(np.asarray(samples), config.sampling_rate,
+                        label="/".join(key))
+        return key, analyze_series(signal, config, wavelet), None
     except ScaleFreeError as exc:
         return key, None, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """results maps each successful (subject, map, state) key to its
+    MfEstimate; failures maps the others to their error text."""
+
     results: dict
     failures: dict
     table: GroupTable | None
@@ -458,22 +488,38 @@ class AnalysisReport:
     output_dir: str
 
 
-def _validate_feasibility(config: AnalysisConfig, dataset: Dataset) -> None:
-    wavelet = build_wavelet(config.n_vanishing)
-    j2 = config.octave_range[1]
-    problems = []
-    for state in STATES:
-        n = dataset.series_length(state)
-        feasible = max_feasible_octave(n, wavelet)
-        if j2 > feasible:
-            problems.append(
-                f"{state} runs of length {n} support octaves up to {feasible}"
-            )
-    if problems:
+@lru_cache(maxsize=32)
+def _leader_spans(n: int, n_vanishing: int) -> tuple:
+    """Valid leader positions per octave for any series of n samples: the
+    validity ranges of dwt and compute_leaders depend only on n and the
+    filter, so they are read once from a zero series of that length."""
+    wavelet = build_wavelet(n_vanishing)
+    pyramid = dwt(Signal(np.zeros(n), 1.0), wavelet,
+                  max_feasible_octave(n, wavelet))
+    leaders = compute_leaders(pyramid, 0.0, h_min=0.0)
+    spans = [b - a for a, b in zip(leaders.valid_start, leaders.valid_stop)]
+    return tuple(spans) + (0,) * (pyramid.max_octave - leaders.max_octave)
+
+
+def _require_feasible(n: int, config: AnalysisConfig,
+                      wavelet: MotherWavelet) -> None:
+    """The feasibility rule for series of n samples: octave j2 fits, and
+    every octave in range keeps enough leaders for sample cumulants."""
+    j1, j2 = config.octave_range
+    feasible = max_feasible_octave(n, wavelet)
+    if j2 > feasible:
         raise ScaleRangeError(
-            "configured octave range "
-            f"{config.octave_range} infeasible: " + "; ".join(problems)
+            f"length {n} supports octaves up to {feasible}, "
+            f"configured range is {config.octave_range}"
         )
+    spans = _leader_spans(n, wavelet.n_vanishing)
+    _require_cumulant_counts({j: spans[j - 1] for j in range(j1, j2 + 1)},
+                             prefix=f"length {n}: ")
+
+
+def _pool_size(workers: int, n_items: int) -> int:
+    """Processes worth starting: at most one per core and one per item."""
+    return max(1, min(workers, os.cpu_count() or 1, n_items))
 
 
 def _build_dataset(config: AnalysisConfig) -> Dataset:
@@ -487,21 +533,20 @@ def _build_dataset(config: AnalysisConfig) -> Dataset:
     return load_dataset(config)
 
 
-def _work_items(config: AnalysisConfig, dataset: Dataset):
+def _work_items(config: AnalysisConfig, dataset: Dataset,
+                wavelet: MotherWavelet):
     labels = dataset.taxonomy.display_labels()
     items = []
     for s_idx, subject in enumerate(dataset.subjects):
         for k in range(dataset.n_maps):
             for j, state in enumerate(STATES):
                 key = (subject, labels[k], state)
-                label = f"{subject}/{labels[k]}/{state}"
                 if config.synthetic is not None:
                     cls = dataset.taxonomy.classes[k]
-                    sig = _synthetic_signal(config, s_idx, k, j, cls, label)
-                    samples = sig.samples
+                    samples = _synthetic_samples(config, s_idx, k, j, cls)
                 else:
                     samples = dataset.runs[(subject, state)][:, k]
-                items.append((key, samples, dataset.sampling_rate, label, config))
+                items.append((key, samples, config, wavelet))
     return items
 
 
@@ -513,23 +558,18 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     byte-identical across reruns and worker counts.
     """
     dataset = _build_dataset(config)
-    if config.synthetic is None:
-        _validate_feasibility(config, dataset)
-    else:
-        wavelet = build_wavelet(config.n_vanishing)
-        feasible = max_feasible_octave(config.synthetic["length"], wavelet)
-        if config.octave_range[1] > feasible:
-            raise ScaleRangeError(
-                f"synthetic length {config.synthetic['length']} supports "
-                f"octaves up to {feasible}, configured range is "
-                f"{config.octave_range}"
-            )
+    wavelet = build_wavelet(config.n_vanishing)
+    lengths = ({config.synthetic["length"]} if config.synthetic is not None
+               else {dataset.series_length(state) for state in STATES})
+    for n in sorted(lengths):
+        _require_feasible(n, config, wavelet)
 
-    items = _work_items(config, dataset)
-    if config.workers == 1:
+    items = _work_items(config, dataset, wavelet)
+    workers = _pool_size(config.workers, len(items))
+    if workers == 1:
         outcomes = [_run_one(task) for task in items]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, items, chunksize=8))
     outcomes.sort(key=lambda o: o[0])
 
@@ -541,24 +581,10 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
         else:
             failures[key] = error
 
-    labels = dataset.taxonomy.display_labels()
-    complete_subjects = []
-    for subject in dataset.subjects:
-        ok = all((subject, lab, st) in results for lab in labels for st in STATES)
-        if ok:
-            complete_subjects.append(subject)
-    dropped = tuple(s for s in dataset.subjects if s not in complete_subjects)
-
-    table = summary = battery = None
-    if len(complete_subjects) >= 3:
-        est = np.empty((len(complete_subjects), dataset.n_maps, 2, len(PARAMS)))
-        for si, subject in enumerate(complete_subjects):
-            for k, lab in enumerate(labels):
-                for j, state in enumerate(STATES):
-                    e = results[(subject, lab, state)].estimate
-                    est[si, k, j, :] = (e.c1, e.c2, e.hurst)
-        table = GroupTable(estimates=est, taxonomy=dataset.taxonomy,
-                           subjects=tuple(complete_subjects))
+    cells = {key: (e.c1, e.c2, e.hurst) for key, e in results.items()}
+    table, dropped = _group_table(dataset.subjects, dataset.taxonomy, cells)
+    summary = battery = None
+    if table is not None:
         summary = aggregate(table)
         battery = run_battery(table, alpha_levels=config.alpha_levels)
 
@@ -578,6 +604,30 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     return report
 
 
+def _group_table(subjects, taxonomy: MapTaxonomy, cells: dict) -> tuple:
+    """Listwise deletion: (GroupTable of the subjects with every (subject,
+    map label, state) -> (c1, c2, H) cell, or None below 3; dropped)."""
+    labels = taxonomy.display_labels()
+    complete = [s for s in subjects
+                if all((s, lab, st) in cells for lab in labels for st in STATES)]
+    dropped = tuple(s for s in subjects if s not in complete)
+    if len(complete) < 3:
+        return None, dropped
+    est = np.array([[[cells[(s, lab, st)] for st in STATES] for lab in labels]
+                    for s in complete], dtype=np.float64)
+    return GroupTable(estimates=est, taxonomy=taxonomy,
+                      subjects=tuple(complete)), dropped
+
+
+@contextmanager
+def _csv_writer(path, header):
+    """CSV writer on a new UTF-8 file with \\n line ends; header written."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        yield writer
+
+
 def _write_report(config: AnalysisConfig, dataset: Dataset,
                   report: AnalysisReport) -> None:
     out = Path(config.output_dir)
@@ -586,51 +636,40 @@ def _write_report(config: AnalysisConfig, dataset: Dataset,
     keys = [(s, lab, st) for s in dataset.subjects for lab in labels
             for st in STATES]
 
-    with open(out / "estimates.csv", "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject", "map", "state", "status", "beta", "welch_beta",
-                    "hurst", "stationary", "h_min", "gamma", "reference_shift",
-                    "c1", "c2", "error"])
+    with (_csv_writer(out / "estimates.csv", [
+            "subject", "map", "state", "status", "beta", "welch_beta", "hurst",
+            "stationary", "h_min", "gamma", "reference_shift", "c1", "c2",
+            "error"]) as estimates,
+          _csv_writer(out / "spectra.csv", [
+            "subject", "map", "state", "octave", "frequency_hz", "log2_power",
+            "fitted_log2_power"]) as spectra,
+          _csv_writer(out / "dh_curves.csv",
+                      ["subject", "map", "state", "h", "d"]) as dh_curves):
         for key in keys:
-            if key in report.results:
-                e = report.results[key].estimate
-                w.writerow([key[0], key[1], key[2], "ok", _fmt(e.beta),
-                            _fmt(e.diagnostics.get("welch_beta")),
-                            _fmt(e.hurst), _fmt(e.stationary), _fmt(e.h_min),
-                            _fmt(e.gamma), str(e.reference_shift), _fmt(e.c1),
-                            _fmt(e.c2), ""])
-            elif key in report.failures:
-                w.writerow([key[0], key[1], key[2], "error"] + [""] * 9
-                           + [report.failures[key]])
-
-    with open(out / "spectra.csv", "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject", "map", "state", "octave", "frequency_hz",
-                    "log2_power", "fitted_log2_power"])
-        for key in keys:
-            res = report.results.get(key)
-            if res is None:
+            e = report.results.get(key)
+            if e is None:
+                if key in report.failures:
+                    estimates.writerow([key[0], key[1], key[2], "error"]
+                                       + [""] * 9 + [report.failures[key]])
                 continue
-            for j, logp in zip(res.spectrum_octaves, res.spectrum_log2):
-                freq = 3.0 * dataset.sampling_rate / (4.0 * 2.0**j)
-                fitted = res.fit_slope * j + res.fit_intercept
-                w.writerow([key[0], key[1], key[2], str(j), _fmt(freq),
-                            _fmt(logp), _fmt(fitted)])
+            estimates.writerow([
+                key[0], key[1], key[2], "ok", _fmt(e.beta),
+                _fmt(e.diagnostics.get("welch_beta")), _fmt(e.hurst),
+                _fmt(e.stationary), _fmt(e.h_min), _fmt(e.gamma),
+                str(e.reference_shift), _fmt(e.c1), _fmt(e.c2), ""])
+            fit = e.diagnostics["spectrum_fit"]
+            for j, logp in zip(e.diagnostics["spectrum_octaves"],
+                               e.diagnostics["spectrum_log2"]):
+                freq = scale_to_frequency(j, dataset.sampling_rate)
+                fitted = fit.slope * j + fit.intercept
+                spectra.writerow([key[0], key[1], key[2], str(j), _fmt(freq),
+                                  _fmt(logp), _fmt(fitted)])
+            for h, d in e.spectrum:
+                dh_curves.writerow([key[0], key[1], key[2], _fmt(h), _fmt(d)])
 
-    with open(out / "dh_curves.csv", "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject", "map", "state", "h", "d"])
-        for key in keys:
-            res = report.results.get(key)
-            if res is None:
-                continue
-            for h, d in res.estimate.spectrum:
-                w.writerow([key[0], key[1], key[2], _fmt(h), _fmt(d)])
-
-    with open(out / "pvalues.csv", "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["level", "map", "parameter", "test", "statistic", "p",
-                    "p_corrected"])
+    with _csv_writer(out / "pvalues.csv", [
+            "level", "map", "parameter", "test", "statistic", "p",
+            "p_corrected"]) as w:
         if report.battery is not None:
             for (level, unit, state, param, test, stat, p, p_corr) \
                     in report.battery.to_rows():
@@ -655,34 +694,25 @@ def _write_report(config: AnalysisConfig, dataset: Dataset,
         fh.write("\n")
 
 
+def _by_state(block) -> dict:
+    """{state: {parameter: value}} from a (2, P) block of means."""
+    return {state: dict(zip(PARAMS, block[j])) for j, state in enumerate(STATES)}
+
+
 def _summary_json(report: AnalysisReport, dataset: Dataset):
     if report.summary is None:
         return None
     labels = dataset.taxonomy.display_labels()
     s = report.summary
-    per_map = {}
-    for k, lab in enumerate(labels):
-        per_map[lab] = {
-            state: {param: s.map_means[k, j, i] for i, param in enumerate(PARAMS)}
-            for j, state in enumerate(STATES)
-        }
     return {
-        "map_means": per_map,
-        "class_means": {c: {state: {p: s.class_means[c][j, i]
-                                    for i, p in enumerate(PARAMS)}
-                            for j, state in enumerate(STATES)}
-                        for c in s.class_means},
-        "class_differences": {c: {p: s.class_differences[c][i]
-                                  for i, p in enumerate(PARAMS)}
-                              for c in s.class_differences},
-        "network_means": {t: {state: {p: s.network_means[t][j, i]
-                                      for i, p in enumerate(PARAMS)}
-                              for j, state in enumerate(STATES)}
-                          for t in s.network_means},
-        "artifact_means": {t: {state: {p: s.artifact_means[t][j, i]
-                                       for i, p in enumerate(PARAMS)}
-                               for j, state in enumerate(STATES)}
-                           for t in s.artifact_means},
+        "map_means": {lab: _by_state(s.map_means[k])
+                      for k, lab in enumerate(labels)},
+        "class_means": {c: _by_state(m) for c, m in s.class_means.items()},
+        "class_differences": {c: dict(zip(PARAMS, d))
+                              for c, d in s.class_differences.items()},
+        "network_means": {t: _by_state(m) for t, m in s.network_means.items()},
+        "artifact_means": {t: _by_state(m)
+                           for t, m in s.artifact_means.items()},
     }
 
 
@@ -692,8 +722,7 @@ def load_estimates_csv(path, taxonomy: MapTaxonomy) -> GroupTable:
     Subjects with any missing or failed cell are dropped listwise with a
     warning.
     """
-    labels = taxonomy.display_labels()
-    label_idx = {lab: k for k, lab in enumerate(labels)}
+    labels = set(taxonomy.display_labels())
     cells = {}
     subjects = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -709,28 +738,19 @@ def load_estimates_csv(path, taxonomy: MapTaxonomy) -> GroupTable:
                 subjects.append(sid)
             if row["status"] != "ok":
                 continue
-            if row["map"] not in label_idx:
+            if row["map"] not in labels:
                 raise DataFormatError(
                     f"{path}: unknown map label {row['map']!r} for the taxonomy"
                 )
             if row["state"] not in STATES:
                 raise DataFormatError(f"{path}: unknown state {row['state']!r}")
-            cells[(sid, label_idx[row["map"]], STATES.index(row["state"]))] = (
+            cells[(sid, row["map"], row["state"])] = (
                 float(row["c1"]), float(row["c2"]), float(row["hurst"]))
-    complete = [s for s in subjects
-                if all((s, k, j) in cells
-                       for k in range(taxonomy.n_maps) for j in range(2))]
-    dropped = sorted(set(subjects) - set(complete))
+    table, dropped = _group_table(subjects, taxonomy, cells)
     if dropped:
-        warnings.warn(f"dropped incomplete subject(s): {dropped}", stacklevel=2)
-    if len(complete) < 3:
-        raise DataFormatError(
-            f"{path}: only {len(complete)} complete subject(s); need >= 3"
-        )
-    est = np.empty((len(complete), taxonomy.n_maps, 2, len(PARAMS)))
-    for si, s in enumerate(complete):
-        for k in range(taxonomy.n_maps):
-            for j in range(2):
-                est[si, k, j, :] = cells[(s, k, j)]
-    return GroupTable(estimates=est, taxonomy=taxonomy,
-                      subjects=tuple(complete))
+        warnings.warn(f"dropped incomplete subject(s): {sorted(dropped)}",
+                      stacklevel=2)
+    if table is None:
+        raise DataFormatError(f"{path}: only {len(subjects) - len(dropped)} "
+                              "complete subject(s); need >= 3")
+    return table

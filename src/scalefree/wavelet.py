@@ -345,18 +345,3 @@ def sup_magnitudes(pyramid: WaveletPyramid, j1: int, j2: int) -> np.ndarray:
             )
         sups.append(sup)
     return np.array(sups)
-
-
-def _dwt_periodic_level(x: np.ndarray, wavelet: MotherWavelet):
-    """One circular filter-bank step (L2 convention); test harness only."""
-    n = x.size
-    t = np.arange(n)
-    full_d = np.array(
-        [np.dot(wavelet.highpass_taps, x[(t[k] - np.arange(wavelet.support_length)) % n])
-         for k in range(n)]
-    )
-    full_a = np.array(
-        [np.dot(wavelet.lowpass_taps, x[(t[k] - np.arange(wavelet.support_length)) % n])
-         for k in range(n)]
-    )
-    return full_a[1::2], full_d[1::2]

@@ -77,6 +77,22 @@ def direct_detail_octave1(samples, wavelet):
     return detail, k_first, k_last + 1
 
 
+def dwt_periodic_level(x, wavelet):
+    """One circular filter-bank step (L2 convention): the periodized
+    transform is orthogonal, so it checks the filters by Parseval."""
+    n = x.size
+    t = np.arange(n)
+    full_d = np.array(
+        [np.dot(wavelet.highpass_taps, x[(t[k] - np.arange(wavelet.support_length)) % n])
+         for k in range(n)]
+    )
+    full_a = np.array(
+        [np.dot(wavelet.lowpass_taps, x[(t[k] - np.arange(wavelet.support_length)) % n])
+         for k in range(n)]
+    )
+    return full_a[1::2], full_d[1::2]
+
+
 def wsr_brute_force(diffs, sidedness):
     """Signed-rank p by explicit enumeration of all sign patterns."""
     from scipy.stats import rankdata

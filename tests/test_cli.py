@@ -78,9 +78,24 @@ class TestAnalyzeCommand:
         assert (tmp_path / "out" / "group_report.json").exists()
 
     def test_invalid_config_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        cases = [  # (config, text the error must name)
+            ({"synthetic": {}, "octave_range": [3, 3]}, "octave_range"),
+            ({"synthetic": {}, "gamma": 2}, "config key gamma"),
+            ({"synthetic": {}, "octave_range": [3]}, "config key octave_range"),
+            ({"synthetic": {}, "workers": "2"}, "config key workers"),
+            ({"synthetic": {"length": "2048"}}, "config key synthetic.length"),
+            ({"inputs": {"subjects": []}}, "config key inputs.taxonomy"),
+            ({"synthetic": {"subjects": 3, "length": 512}, "output_dir": out},
+             "largest workable j2 is 5"),
+            ('{"synthetic": {}', "line 1"),
+        ]
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"synthetic": {}, "octave_range": [3, 3]}))
-        assert main(["analyze", "--config", str(cfg_path)]) == 1
+        for cfg, named in cases:
+            cfg_path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+            assert main(["analyze", "--config", str(cfg_path)]) == 1, cfg
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and named in err, (cfg, err)
 
 
 class TestBatteryCommand:

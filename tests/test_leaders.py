@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstat
 
 from scalefree.errors import (DegenerateInputError, ParameterError,
                               ScaleRangeError)
@@ -285,6 +286,23 @@ class TestLogCumulants:
             d2.append(c_by_gamma[1.0][1] - c_by_gamma[2.0][1])
         assert abs(np.mean(d1)) <= 0.03
         assert abs(np.mean(d2)) <= 0.01
+
+    def test_regression_matches_polyfit(self, db3):
+        # c_p is the OLS slope of the octave k-statistics of ln L on j ln 2
+        sig = gen_mrw(GeneratorSpec("mrw", 0.6, 2**13, seed=3, lambda2=0.04))
+        leaders = compute_leaders(dwt(sig, db3, 7), 2.0)
+        c_p, diag = log_cumulants(leaders, 4, 3, 7)
+        x = np.arange(3, 8) * math.log(2.0)
+        for p in range(1, 5):
+            y = np.array([kstat(np.log(leaders.valid_values(j)), p)
+                          for j in range(3, 8)])
+            slope, intercept = np.polyfit(x, y, 1)
+            ss_res = np.sum((y - slope * x - intercept) ** 2)
+            r2 = 1.0 - ss_res / np.sum((y - y.mean()) ** 2)
+            if p == 1:
+                slope -= leaders.gamma
+            assert c_p[p - 1] == pytest.approx(slope, rel=1e-12, abs=1e-12)
+            assert diag["r_squared"][p - 1] == pytest.approx(r2, rel=1e-12)
 
     def test_thin_octave_proposes_smaller_j2(self, db3):
         p = dwt(gen_fgn(GeneratorSpec("fgn", 0.5, 512, seed=0)), db3, 6)

@@ -1,19 +1,23 @@
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scalefree import pipeline
 from scalefree.errors import (DataFormatError, DegenerateInputError,
                               ParameterError, ScaleRangeError)
-from scalefree.pipeline import (AnalysisConfig, analyze_series, load_dataset,
+from scalefree.leaders_mf import compute_leaders
+from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
+                                analyze_series, load_dataset,
                                 load_estimates_csv, load_taxonomy,
                                 project_onto_maps, run_full_analysis,
                                 synthetic_taxonomy)
 from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw
-from scalefree.wavelet import Signal
+from scalefree.wavelet import Signal, dwt
 
 SMALL_SYNTH = {"subjects": 4, "length": 1024, "maps": {"F": 3, "A": 2, "U": 1}}
 
@@ -60,6 +64,8 @@ class TestConfig:
             AnalysisConfig.from_dict({"synthetic": {}, "typo_key": 1})
         with pytest.raises(DataFormatError):
             AnalysisConfig.from_dict({"synthetic": {"subjcts": 3}})
+        with pytest.raises(DataFormatError, match=r"gamma\.vlaue"):
+            AnalysisConfig.from_dict({"synthetic": {}, "gamma": {"vlaue": 1}})
 
     def test_hash_ignores_output_dir_and_workers(self):
         a = AnalysisConfig(synthetic={}, output_dir="x", workers=1)
@@ -193,12 +199,35 @@ class TestAnalyzeSeries:
         sig = gen_fgn(GeneratorSpec("fgn", 0.5, 128, seed=0))
         with pytest.raises(ScaleRangeError, match="octaves up to"):
             analyze_series(sig, cfg)
+        sig = gen_fgn(GeneratorSpec("fgn", 0.5, 512, seed=0))
+        with pytest.raises(ScaleRangeError, match="largest workable j2 is 5"):
+            analyze_series(sig, cfg)
 
     def test_label_in_error(self):
         cfg = AnalysisConfig(synthetic={})
         sig = Signal(np.full(4096, 1.0), 1.0, "flatliner")
         with pytest.raises(DegenerateInputError, match="flatliner"):
             analyze_series(sig, cfg)
+
+    def test_leader_spans_match_a_real_series(self, db3):
+        walk = gen_mrw(GeneratorSpec("mrw", 0.6, 4096, seed=2, lambda2=0.04))
+        sig = Signal(np.diff(walk.samples)[:3000], 1.0)
+        leaders = compute_leaders(dwt(sig, db3, 8), 2.0)
+        spans = tuple(b - a for a, b in zip(leaders.valid_start,
+                                            leaders.valid_stop))
+        assert _leader_spans(3000, 3) == spans
+        assert _leader_spans(512, 3) == (252, 123, 58, 26, 10, 2)
+
+    def test_feasibility_adds_no_dwt_per_series(self, monkeypatch):
+        cfg = AnalysisConfig(synthetic={})
+        sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=1))
+        analyze_series(sig, cfg)
+        calls = []
+        real_dwt = pipeline.dwt
+        monkeypatch.setattr(pipeline, "dwt",
+                            lambda *args: calls.append(1) or real_dwt(*args))
+        analyze_series(sig, cfg)
+        assert len(calls) == 1
 
 
 class TestRunFullAnalysis:
@@ -222,6 +251,26 @@ class TestRunFullAnalysis:
             output_dir=str(tmp_path / "out"))
         with pytest.raises(ScaleRangeError, match="supports octaves up to"):
             run_full_analysis(cfg)
+
+    def test_too_few_leaders_fail_before_any_series(self, tmp_path,
+                                                    monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr(pipeline, "analyze_series", unexpected)
+        cfg = AnalysisConfig(
+            synthetic={"subjects": 3, "length": 512}, octave_range=(3, 6),
+            output_dir=str(tmp_path / "out"))
+        with pytest.raises(ScaleRangeError, match="largest workable j2 is 5"):
+            run_full_analysis(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_size_is_bounded(self):
+        cores = os.cpu_count() or 1
+        assert _pool_size(10**6, 5) == min(5, cores)
+        assert _pool_size(10**6, 10**6) == cores
+        assert _pool_size(1, 100) == 1
+        assert _pool_size(4, 0) == 1
 
     def test_file_backed_end_to_end(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
@@ -327,4 +376,10 @@ class TestTaxonomyIO:
         path = tmp_path / "tax.csv"
         path.write_text("map_index,class,network_or_artifact\n1,F,\n3,A,\n")
         with pytest.raises(DataFormatError, match="cover"):
+            load_taxonomy(path)
+
+    def test_missing_class_located(self, tmp_path):
+        path = tmp_path / "tax.csv"
+        path.write_text("map_index,class,network_or_artifact\n1,F,\n2\n")
+        with pytest.raises(DataFormatError, match=r"tax\.csv:3: expected"):
             load_taxonomy(path)
