@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats as sp_stats
@@ -24,6 +24,7 @@ STATES = ("rest", "task")
 PARAMS = ("c1", "c2", "H")
 WSR_EXACT_MAX_N = 12
 SIDEDNESS = ("greater", "less", "two")
+TAG_LEVELS = {"F": "network", "A": "artifact"}  # the level a class's tags name
 
 
 @dataclass(frozen=True)
@@ -49,29 +50,21 @@ class MapTaxonomy:
     def indices(self, cls: str):
         return [i for i, c in enumerate(self.classes) if c == cls]
 
-    @property
-    def networks(self) -> tuple:
-        return tuple(t if c == "F" and t else None
-                     for c, t in zip(self.classes, self.tags))
-
-    @property
-    def artifact_types(self) -> tuple:
-        return tuple(t if c == "A" and t else None
-                     for c, t in zip(self.classes, self.tags))
-
-    def network_tags(self):
-        seen = []
-        for t in self.networks:
-            if t is not None and t not in seen:
-                seen.append(t)
-        return seen
-
-    def artifact_tags(self):
-        seen = []
-        for t in self.artifact_types:
-            if t is not None and t not in seen:
-                seen.append(t)
-        return seen
+    def units(self) -> dict:
+        """{level: {unit: [map indices]}} for the four group levels: each
+        map under its display label, the non-empty classes in CLASSES
+        order, and the network tags of F maps and artifact-type tags of A
+        maps in first-seen order (tags on U maps are no unit)."""
+        units = {
+            "map": {lab: [k] for k, lab in enumerate(self.display_labels())},
+            "class": {c: self.indices(c) for c in CLASSES if c in self.classes},
+            "network": {},
+            "artifact": {},
+        }
+        for k, (c, t) in enumerate(zip(self.classes, self.tags)):
+            if t and c in TAG_LEVELS:
+                units[TAG_LEVELS[c]].setdefault(t, []).append(k)
+        return units
 
     def display_labels(self) -> tuple:
         """Paper-style labels f_1.., a_1.., u_1.. in map order."""
@@ -130,9 +123,6 @@ class GroupTable:
     def n_maps(self) -> int:
         return self.estimates.shape[1]
 
-    def values(self, map_index: int, state: int, param: int) -> np.ndarray:
-        return self.estimates[:, map_index, state, param]
-
     def subject_means(self, map_indices, state: int, param: int) -> np.ndarray:
         """Per-subject average over a map subset."""
         idx = np.asarray(list(map_indices), dtype=int)
@@ -141,52 +131,27 @@ class GroupTable:
 
 @dataclass(frozen=True)
 class GroupSummary:
-    """Means, standard deviations and rest-to-task differences."""
+    """Group means per level and unit, and rest-to-task class differences."""
 
-    map_means: np.ndarray       # (K, 2, P)
-    map_sds: np.ndarray         # (K, 2, P)
-    class_means: dict           # class -> (2, P)
-    network_means: dict
-    artifact_means: dict
-    state_differences: np.ndarray  # (K, P), task - rest
-    class_differences: dict        # class -> (P,)
+    means: dict              # level -> unit -> (2, P) mean over its maps
+    class_differences: dict  # class -> (P,), task - rest
 
 
 def aggregate(table: GroupTable) -> GroupSummary:
-    """Map-level, class-level, network-level and artifact-level means/SDs."""
-    est = table.estimates
-    map_means = est.mean(axis=0)
-    map_sds = est.std(axis=0, ddof=1)
-    class_means = {}
-    class_diffs = {}
+    """Means of every unit of taxonomy.units(), each over its maps' means."""
+    units = table.taxonomy.units()
     for cls in CLASSES:
-        idx = table.taxonomy.indices(cls)
-        if not idx:
+        if cls not in units["class"]:
             warnings.warn(f"class {cls} is empty; skipped in aggregation",
                           stacklevel=2)
-            continue
-        class_means[cls] = map_means[idx].mean(axis=0)
-        class_diffs[cls] = (map_means[idx, 1, :] - map_means[idx, 0, :]).mean(axis=0)
-
-    network_means = {}
-    nets = table.taxonomy.networks
-    for tag in table.taxonomy.network_tags():
-        idx = [i for i, t in enumerate(nets) if t == tag]
-        network_means[tag] = map_means[idx].mean(axis=0)
-    artifact_means = {}
-    arts = table.taxonomy.artifact_types
-    for tag in table.taxonomy.artifact_tags():
-        idx = [i for i, t in enumerate(arts) if t == tag]
-        artifact_means[tag] = map_means[idx].mean(axis=0)
-
+    map_means = table.estimates.mean(axis=0)
     return GroupSummary(
-        map_means=map_means,
-        map_sds=map_sds,
-        class_means=class_means,
-        network_means=network_means,
-        artifact_means=artifact_means,
-        state_differences=map_means[:, 1, :] - map_means[:, 0, :],
-        class_differences=class_diffs,
+        means={level: {unit: map_means[idx].mean(axis=0)
+                       for unit, idx in level_units.items()}
+               for level, level_units in units.items()},
+        class_differences={
+            cls: (map_means[idx, 1, :] - map_means[idx, 0, :]).mean(axis=0)
+            for cls, idx in units["class"].items()},
     )
 
 
@@ -200,15 +165,6 @@ class TestResult:
     effect_label: str = ""
     p_corrected: float | None = None
     degenerate: bool = False
-
-    def corrected(self, family_size: int) -> "TestResult":
-        p = min(1.0, family_size * self.p_value)
-        return TestResult(
-            statistic=self.statistic, p_value=self.p_value, df=self.df,
-            test_kind=self.test_kind, sidedness=self.sidedness,
-            effect_label=self.effect_label, p_corrected=p,
-            degenerate=self.degenerate,
-        )
 
 
 def _check_sidedness(sidedness: str) -> None:
@@ -323,24 +279,8 @@ def paired_t_two_state(rest, task, sidedness: str = "greater",
     t = np.asarray(task, dtype=np.float64)
     if r.shape != t.shape:
         raise ParameterError("rest and task must pair the same subjects")
-    result = one_sample_t(r - t, 0.0, sidedness, effect_label)
-    return TestResult(
-        statistic=result.statistic, p_value=result.p_value, df=result.df,
-        test_kind="t_two_paired", sidedness=result.sidedness,
-        effect_label=effect_label, degenerate=result.degenerate,
-    )
-
-
-def unpaired_t_two_state(rest, task, sidedness: str = "greater",
-                         effect_label: str = "") -> TestResult:
-    """Welch two-sample variant, kept behind this explicit name."""
-    _check_sidedness(sidedness)
-    alt = {"greater": "greater", "less": "less", "two": "two-sided"}[sidedness]
-    res = sp_stats.ttest_ind(np.asarray(rest, dtype=np.float64),
-                             np.asarray(task, dtype=np.float64),
-                             equal_var=False, alternative=alt)
-    return TestResult(float(res.statistic), float(res.pvalue),
-                      f"{res.df:.2f}", "t_two_unpaired", sidedness, effect_label)
+    return replace(one_sample_t(r - t, 0.0, sidedness, effect_label),
+                   test_kind="t_two_paired")
 
 
 def anova_decomposition(cells: np.ndarray) -> dict:
@@ -498,9 +438,10 @@ def _one_sample_block(values_by_unit: dict, param: str) -> dict:
             "wsr": wilcoxon_signed_rank(values, mu0, sidedness,
                                         effect_label=unit),
         }
-    m = len(values_by_unit)
-    for unit in block:
-        block[unit] = {k: r.corrected(m) for k, r in block[unit].items()}
+    for test in ("t", "wsr"):
+        corrected = bonferroni([block[unit][test].p_value for unit in block])
+        for unit, p in zip(block, corrected):
+            block[unit][test] = replace(block[unit][test], p_corrected=float(p))
     return block
 
 
@@ -512,23 +453,8 @@ def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
     paired-test p-values are reported uncorrected with the alpha flags left
     to the consumer, as in the reference workflow.
     """
-    labels = table.taxonomy.display_labels()
-    level_units = {"map": {labels[k]: [k] for k in range(table.n_maps)}}
-    level_units["class"] = {
-        cls: table.taxonomy.indices(cls) for cls in CLASSES
-        if table.taxonomy.indices(cls)
-    }
-    nets = table.taxonomy.networks
-    level_units["network"] = {
-        tag: [i for i, t in enumerate(nets) if t == tag]
-        for tag in table.taxonomy.network_tags()
-    }
-    arts = table.taxonomy.artifact_types
-    level_units["artifact"] = {
-        tag: [i for i, t in enumerate(arts) if t == tag]
-        for tag in table.taxonomy.artifact_tags()
-    }
-    level_units = {lvl: units for lvl, units in level_units.items() if units}
+    all_units = table.taxonomy.units()
+    level_units = {lvl: units for lvl, units in all_units.items() if units}
 
     one_sample = {}
     for level, units in level_units.items():
@@ -547,19 +473,14 @@ def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
                         block[unit]
 
     anova = {}
-    anova_sets = {cls: ("Map", units)
-                  for cls, units in (
-                      (c, table.taxonomy.indices(c)) for c in CLASSES) if units}
-    for level, tag_units in (("network", level_units.get("network", {})),
-                             ("artifact", level_units.get("artifact", {}))):
-        if tag_units:
-            anova_sets[level] = (level.capitalize(), tag_units)
+    labels = table.taxonomy.display_labels()
+    anova_sets = {cls: ("Map", {labels[k]: [k] for k in idx})
+                  for cls, idx in all_units["class"].items()}
+    for level in TAG_LEVELS.values():
+        if all_units[level]:
+            anova_sets[level] = (level.capitalize(), all_units[level])
     for set_name, (factor_b, units) in anova_sets.items():
-        if isinstance(units, dict):
-            unit_idx = list(units.values())
-        else:
-            unit_idx = [[k] for k in units]
-        if len(unit_idx) < 2:
+        if len(units) < 2:
             warnings.warn(
                 f"ANOVA for {set_name!r} skipped: needs >= 2 factor levels",
                 stacklevel=2,
@@ -568,8 +489,9 @@ def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
         anova[set_name] = {}
         for ip, param in enumerate(PARAMS):
             cells = np.stack(
-                [np.stack([table.subject_means(idx, j, ip) for idx in unit_idx],
-                          axis=1) for j in range(2)], axis=1,
+                [np.stack([table.subject_means(idx, j, ip)
+                           for idx in units.values()], axis=1)
+                 for j in range(2)], axis=1,
             )  # (S, states, units)
             res_state, res_b, res_int = rm_anova_2way(
                 cells, factor_a="State", factor_b=factor_b)

@@ -31,8 +31,9 @@ from .errors import (DataFormatError, EstimationError, ParameterError,
                      ScaleFreeError, ScaleRangeError)
 from .grouptests import (PARAMS, STATES, BatteryReport, GroupSummary,
                          GroupTable, MapTaxonomy, aggregate, run_battery)
-from .leaders_mf import (DEFAULT_Q_GRID, MfEstimate, _require_cumulant_counts,
-                         compute_leaders, multifractal_estimate)
+from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate,
+                         _require_cumulant_counts, compute_leaders,
+                         multifractal_estimate)
 from .scaling import (estimate_hurst, fit_loglog, fit_psd_powerlaw,
                       scale_to_frequency, welch_psd, wavelet_spectrum)
 from .synth import GeneratorSpec, gen_fgn, gen_mrw
@@ -128,6 +129,8 @@ class AnalysisConfig:
         for a in self.alpha_levels:
             if not 0.0 < a < 1.0:
                 raise ParameterError(f"alpha level {a} outside (0, 1)")
+        if not 2 <= self.p_max <= MAX_P:  # c2 is a reported parameter
+            raise ParameterError(f"p_max {self.p_max} outside 2..{MAX_P}")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
         if (self.inputs is None) == (self.synthetic is None):
@@ -283,6 +286,17 @@ def load_taxonomy(path) -> MapTaxonomy:
     )
 
 
+def _parse_cell(tok: str, where: str) -> float:
+    """A finite float from one CSV cell; DataFormatError prefixed by where."""
+    try:
+        v = float(tok)
+    except ValueError:
+        raise DataFormatError(f"{where}: cannot parse {tok!r}") from None
+    if not math.isfinite(v):
+        raise DataFormatError(f"{where}: non-finite value {tok!r}")
+    return v
+
+
 def _load_run_csv(path, n_maps: int) -> np.ndarray:
     with _csv_rows(path) as (header, lines):
         expected = ["t"] + [f"map_{k}" for k in range(1, n_maps + 1)]
@@ -297,20 +311,8 @@ def _load_run_csv(path, n_maps: int) -> np.ndarray:
                 raise DataFormatError(
                     f"{path}:{line_no}: expected {n_maps + 1} columns, got {len(row)}"
                 )
-            values = []
-            for col, tok in zip(header[1:], row[1:]):
-                try:
-                    v = float(tok)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{line_no}: column {col}: cannot parse {tok!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataFormatError(
-                        f"{path}:{line_no}: column {col}: non-finite value {tok!r}"
-                    )
-                values.append(v)
-            rows.append(values)
+            rows.append([_parse_cell(tok, f"{path}:{line_no}: column {col}")
+                         for col, tok in zip(header[1:], row[1:])])
     if len(rows) < 2:
         raise DataFormatError(f"{path}: fewer than 2 sample rows")
     return np.asarray(rows, dtype=np.float64)
@@ -680,7 +682,7 @@ def _write_report(config: AnalysisConfig, dataset: Dataset,
         "provenance": report.provenance,
         "dropped_subjects": list(report.dropped_subjects),
         "failures": {"/".join(k): v for k, v in sorted(report.failures.items())},
-        "aggregate": _summary_json(report, dataset),
+        "aggregate": _summary_json(report.summary),
         "battery": (report.battery.to_json_dict()
                     if report.battery is not None else None),
     }
@@ -699,21 +701,14 @@ def _by_state(block) -> dict:
     return {state: dict(zip(PARAMS, block[j])) for j, state in enumerate(STATES)}
 
 
-def _summary_json(report: AnalysisReport, dataset: Dataset):
-    if report.summary is None:
+def _summary_json(summary: GroupSummary | None):
+    if summary is None:
         return None
-    labels = dataset.taxonomy.display_labels()
-    s = report.summary
-    return {
-        "map_means": {lab: _by_state(s.map_means[k])
-                      for k, lab in enumerate(labels)},
-        "class_means": {c: _by_state(m) for c, m in s.class_means.items()},
-        "class_differences": {c: dict(zip(PARAMS, d))
-                              for c, d in s.class_differences.items()},
-        "network_means": {t: _by_state(m) for t, m in s.network_means.items()},
-        "artifact_means": {t: _by_state(m)
-                           for t, m in s.artifact_means.items()},
-    }
+    doc = {f"{level}_means": {unit: _by_state(m) for unit, m in units.items()}
+           for level, units in summary.means.items()}
+    doc["class_differences"] = {c: dict(zip(PARAMS, d))
+                                for c, d in summary.class_differences.items()}
+    return doc
 
 
 def load_estimates_csv(path, taxonomy: MapTaxonomy) -> GroupTable:
@@ -725,27 +720,30 @@ def load_estimates_csv(path, taxonomy: MapTaxonomy) -> GroupTable:
     labels = set(taxonomy.display_labels())
     cells = {}
     subjects = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_rows(path) as (header, rows):
         required = {"subject", "map", "state", "status", "c1", "c2", "hurst"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        if not required <= set(header):
             raise DataFormatError(
                 f"{path}: estimates CSV must carry columns {sorted(required)}"
             )
-        for row in reader:
+        for line_no, raw in rows:
+            # cells missing from a short row read as empty
+            row = dict(zip(header, raw + [""] * len(header)))
             sid = row["subject"]
             if sid not in subjects:
                 subjects.append(sid)
             if row["status"] != "ok":
                 continue
+            where = f"{path}:{line_no}"
             if row["map"] not in labels:
                 raise DataFormatError(
-                    f"{path}: unknown map label {row['map']!r} for the taxonomy"
+                    f"{where}: unknown map label {row['map']!r} for the taxonomy"
                 )
             if row["state"] not in STATES:
-                raise DataFormatError(f"{path}: unknown state {row['state']!r}")
-            cells[(sid, row["map"], row["state"])] = (
-                float(row["c1"]), float(row["c2"]), float(row["hurst"]))
+                raise DataFormatError(f"{where}: unknown state {row['state']!r}")
+            cells[(sid, row["map"], row["state"])] = tuple(
+                _parse_cell(row[col], f"{where}: column {col}")
+                for col in ("c1", "c2", "hurst"))
     table, dropped = _group_table(subjects, taxonomy, cells)
     if dropped:
         warnings.warn(f"dropped incomplete subject(s): {sorted(dropped)}",

@@ -84,6 +84,7 @@ class TestAnalyzeCommand:
             ({"synthetic": {}, "gamma": 2}, "config key gamma"),
             ({"synthetic": {}, "octave_range": [3]}, "config key octave_range"),
             ({"synthetic": {}, "workers": "2"}, "config key workers"),
+            ({"synthetic": {}, "p_max": 1}, "p_max"),
             ({"synthetic": {"length": "2048"}}, "config key synthetic.length"),
             ({"inputs": {"subjects": []}}, "config key inputs.taxonomy"),
             ({"synthetic": {"subjects": 3, "length": 512}, "output_dir": out},
@@ -126,3 +127,29 @@ class TestBatteryCommand:
         doc = json.loads(report_path.read_text())
         assert "one_sample" in doc
         assert doc["one_sample"]["map"]["f_1"]["rest"]["c1"]["t"]["p_corrected"] <= 1.0
+
+    def test_bad_estimates_cell_located(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = {"synthetic": {"subjects": 3, "length": 1024,
+                             "maps": {"F": 2, "A": 1, "U": 1}},
+               "seed": 8, "output_dir": str(out_dir)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+
+        estimates = out_dir / "estimates.csv"
+        rows = read_csv(estimates)
+        rows[3][rows[0].index("c1")] = "oops"
+        with open(estimates, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        tax_path = tmp_path / "tax.csv"
+        tax_path.write_text("map_index,class,network_or_artifact\n"
+                            "1,F,Att\n2,F,DMN\n3,A,Ven\n4,U,\n")
+        code = main(["battery", "--estimates", str(estimates),
+                     "--taxonomy", str(tax_path),
+                     "--out", str(tmp_path / "battery.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{estimates}:4: column c1: cannot parse 'oops'" in err

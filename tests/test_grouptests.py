@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from scalefree.errors import DataFormatError, ParameterError
-from scalefree.grouptests import (GroupTable, MapTaxonomy,
-                                  aggregate, anova_decomposition, bonferroni,
-                                  one_sample_t, paired_t_two_state,
+from scalefree.grouptests import (CLASSES, PARAMS, STATES, GroupTable,
+                                  MapTaxonomy, aggregate, anova_decomposition,
+                                  bonferroni, one_sample_t, paired_t_two_state,
                                   rm_anova_2way, run_battery,
-                                  unpaired_t_two_state, wilcoxon_signed_rank)
+                                  wilcoxon_signed_rank)
 
 from oracles import anova_by_hand, wsr_brute_force
 
@@ -21,16 +21,25 @@ def small_taxonomy():
                        tags=("Att", "Vis", "Ven", ""))
 
 
-def table_from(estimates):
+def interleaved_taxonomy():
+    """Classes and tags interleaved, two or more units at every level."""
+    return MapTaxonomy(
+        classes=("A", "F", "U", "F", "A", "F", "U", "A", "F"),
+        tags=("WhM", "Vis", "Xx", "Att", "Ven", "Vis", "", "WhM", ""))
+
+
+def table_from(estimates, taxonomy=None):
     est = np.asarray(estimates, dtype=float)
     subjects = tuple(f"s{i}" for i in range(est.shape[0]))
-    return GroupTable(estimates=est, taxonomy=small_taxonomy(), subjects=subjects)
+    return GroupTable(estimates=est, taxonomy=taxonomy or small_taxonomy(),
+                      subjects=subjects)
 
 
-def random_table(seed=0, subjects=6):
+def random_table(seed=0, subjects=6, taxonomy=None):
+    taxonomy = taxonomy or small_taxonomy()
     rng = np.random.default_rng(seed)
-    est = rng.normal(0.6, 0.1, size=(subjects, 4, 2, 3))
-    return table_from(est)
+    est = rng.normal(0.6, 0.1, size=(subjects, taxonomy.n_maps, 2, 3))
+    return table_from(est, taxonomy)
 
 
 class TestTaxonomy:
@@ -49,9 +58,50 @@ class TestTaxonomy:
             tax.assert_counts(25, 13, 4)
 
     def test_network_and_artifact_split(self):
-        tax = small_taxonomy()
-        assert tax.networks == ("Att", "Vis", None, None)
-        assert tax.artifact_types == (None, None, "Ven", None)
+        units = small_taxonomy().units()
+        assert units["network"] == {"Att": [0], "Vis": [1]}
+        assert units["artifact"] == {"Ven": [2]}
+
+    def test_units_of_interleaved_taxonomy(self):
+        units = interleaved_taxonomy().units()
+        assert list(units) == ["map", "class", "network", "artifact"]
+        assert units["class"] == {"F": [1, 3, 5, 8], "A": [0, 4, 7],
+                                  "U": [2, 6]}
+        assert units["network"] == {"Vis": [1, 5], "Att": [3]}
+        assert units["artifact"] == {"WhM": [0, 7], "Ven": [4]}
+
+    @given(st.lists(st.tuples(st.sampled_from(CLASSES),
+                              st.sampled_from(("", "a", "b", "c"))),
+                    min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_units_property(self, maps):
+        classes = tuple(c for c, _ in maps)
+        tags = tuple(t for _, t in maps)
+        tax = MapTaxonomy(classes=classes, tags=tags)
+        units = tax.units()
+        n = len(maps)
+        # map: every index exactly once, under its display label
+        assert list(units["map"]) == list(tax.display_labels())
+        assert list(units["map"].values()) == [[k] for k in range(n)]
+        # class: a partition of the indices, in CLASSES order
+        assert list(units["class"]) == [c for c in CLASSES if c in classes]
+        assert sorted(k for idx in units["class"].values() for k in idx) \
+            == list(range(n))
+        for cls, idx in units["class"].items():
+            assert idx == [k for k in range(n) if classes[k] == cls]
+        # network / artifact: exactly the tagged F / A maps, first-seen order
+        for level, cls in (("network", "F"), ("artifact", "A")):
+            tagged = [k for k in range(n) if classes[k] == cls and tags[k]]
+            assert list(units[level]) == list(dict.fromkeys(
+                tags[k] for k in tagged))
+            assert sorted(k for idx in units[level].values() for k in idx) \
+                == tagged
+            for tag, idx in units[level].items():
+                assert all(tags[k] == tag for k in idx)
+        # tags on U maps name no unit
+        tag_maps = {k for level in ("network", "artifact")
+                    for idx in units[level].values() for k in idx}
+        assert not any(classes[k] == "U" for k in tag_maps)
 
 
 class TestAggregate:
@@ -62,7 +112,8 @@ class TestAggregate:
         table = GroupTable(estimates=est, taxonomy=small_taxonomy(),
                            subjects=("only",))
         summary = aggregate(table)
-        assert np.allclose(summary.map_means, est[0])
+        assert np.allclose(np.stack(list(summary.means["map"].values())),
+                           est[0])
 
     def test_three_subject_spreadsheet_oracle(self):
         # hand-computable numbers
@@ -78,21 +129,20 @@ class TestAggregate:
         table = table_from(est)
         summary = aggregate(table)
         # map mean for map 0, rest, param 0: mean(0.6, 0.5, 0.4) = 0.5
-        assert summary.map_means[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
-        # state difference is the 0.05 shift everywhere
-        assert np.allclose(summary.state_differences, 0.05, atol=1e-12)
+        assert summary.means["map"]["f_1"][0, 0] == pytest.approx(0.5, abs=1e-12)
+        # class difference is the 0.05 shift everywhere
+        assert np.allclose(list(summary.class_differences.values()), 0.05,
+                           atol=1e-12)
         # class F mean over maps 0 and 1, task, param 2:
         # mean over subjects of base +0.05 +0.05*k -> (0.8+0.05+0.05*k)
         expected = np.mean([0.8 + 0.05, 0.8 + 0.05 + 0.1])
-        assert summary.class_means["F"][1, 2] == pytest.approx(expected, 1e-12)
-        # per-map SD across subjects (param 0): sd of (0.6, 0.5, 0.4)
-        assert summary.map_sds[0, 0, 0] == pytest.approx(0.1, abs=1e-12)
+        assert summary.means["class"]["F"][1, 2] == pytest.approx(expected, 1e-12)
 
     def test_network_means(self):
         table = random_table(3)
         summary = aggregate(table)
-        assert set(summary.network_means) == {"Att", "Vis"}
-        assert set(summary.artifact_means) == {"Ven"}
+        assert set(summary.means["network"]) == {"Att", "Vis"}
+        assert set(summary.means["artifact"]) == {"Ven"}
 
 
 class TestOneSampleT:
@@ -238,12 +288,11 @@ class TestPairedT:
         assert paired.statistic == direct.statistic
         assert paired.p_value == direct.p_value
 
-    def test_unpaired_variant_exists(self):
-        rng = np.random.default_rng(4)
-        res = unpaired_t_two_state(rng.normal(0.8, 0.1, 12),
-                                   rng.normal(0.7, 0.1, 12), "greater")
-        assert res.test_kind == "t_two_unpaired"
-        assert 0 <= res.p_value <= 1
+    def test_result_is_labelled_paired(self):
+        res = paired_t_two_state([0.8, 0.9, 0.7], [0.7, 0.7, 0.6], "greater",
+                                 effect_label="f_1")
+        assert res.test_kind == "t_two_paired"
+        assert res.effect_label == "f_1"
 
 
 class TestAnova:
@@ -344,6 +393,19 @@ class TestBattery:
         assert block["t"].p_corrected >= block["t"].p_value
         assert set(report.anova) == {"F", "network"}  # A/U have single units
         assert set(report.two_sample["map"]) == {"f_1", "f_2", "a_1", "u_1"}
+
+    @pytest.mark.parametrize("taxonomy", [small_taxonomy(),
+                                          interleaved_taxonomy()])
+    def test_corrections_come_from_bonferroni(self, taxonomy):
+        report = run_battery(random_table(11, taxonomy=taxonomy))
+        for level, units in report.one_sample.items():
+            for state in STATES:
+                for param in PARAMS:
+                    for test in ("t", "wsr"):
+                        results = [units[u][state][param][test] for u in units]
+                        expected = bonferroni([r.p_value for r in results])
+                        assert [r.p_corrected for r in results] \
+                            == list(expected), (level, state, param, test)
 
     def test_state_effect_detected_in_battery(self):
         rng = np.random.default_rng(3)

@@ -359,8 +359,9 @@ class TestSyntheticTaxonomy:
         tax.assert_counts(25, 13, 4)
         assert tax.display_labels()[0] == "f_1"
         assert tax.display_labels()[25] == "a_1"
-        assert set(tax.network_tags()) == {"Att", "DMN", "Mot", "N-c", "Vis"}
-        assert set(tax.artifact_tags()) == {"Ven", "WhM", "Mov", "Oth"}
+        units = tax.units()
+        assert set(units["network"]) == {"Att", "DMN", "Mot", "N-c", "Vis"}
+        assert set(units["artifact"]) == {"Ven", "WhM", "Mov", "Oth"}
 
 
 class TestTaxonomyIO:
@@ -370,7 +371,7 @@ class TestTaxonomyIO:
                         "1,F,Att\n2,A,Ven\n3,U,\n")
         tax = load_taxonomy(path)
         assert tax.classes == ("F", "A", "U")
-        assert tax.networks == ("Att", None, None)
+        assert tax.units()["network"] == {"Att": [0]}
 
     def test_gap_in_indices(self, tmp_path):
         path = tmp_path / "tax.csv"
