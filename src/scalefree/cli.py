@@ -21,9 +21,9 @@ import numpy as np
 from .errors import DataFormatError, ScaleFreeError
 from .grouptests import run_battery
 from .pipeline import (AnalysisConfig, _csv_rows, _csv_writer, _fmt,
-                       load_estimates_csv, load_taxonomy, run_full_analysis)
-from .scaling import (fit_loglog, fit_psd_powerlaw, scale_to_frequency,
-                      welch_psd, wavelet_spectrum)
+                       _parse_cell, _spectrum_rows, load_estimates_csv,
+                       load_taxonomy, run_full_analysis)
+from .scaling import fit_psd_powerlaw, scale_to_frequency, welch_psd
 from .synth import GeneratorSpec, generate
 from .wavelet import Signal, build_wavelet, dwt
 
@@ -64,14 +64,10 @@ def _read_column(path, column):
                 ) from None
             if not 0 <= idx < len(header):
                 raise DataFormatError(f"{path}: column index {idx} out of range")
-        values = []
-        for line_no, row in rows:
-            try:
-                values.append(float(row[idx]))
-            except (ValueError, IndexError):
-                raise DataFormatError(
-                    f"{path}:{line_no}: cannot read column {header[idx]!r}"
-                ) from None
+        # a cell missing from a short row reads as empty
+        values = [_parse_cell(row[idx] if idx < len(row) else "",
+                              f"{path}:{line_no}: column {header[idx]}")
+                  for line_no, row in rows]
     return np.asarray(values)
 
 
@@ -92,11 +88,7 @@ def _cmd_spectrum(args) -> int:
             rows.append((f, np.log2(p), fitted))
     else:
         pyramid = dwt(signal, build_wavelet(args.vanishing), args.j2)
-        spectrum = wavelet_spectrum(pyramid)
-        fit = fit_loglog(spectrum.octave_pairs(), args.j1, args.j2)
-        order = np.argsort(spectrum.octave_index)
-        for j, p in zip(spectrum.octave_index[order], spectrum.power[order]):
-            rows.append((int(j), np.log2(p), fit.slope * j + fit.intercept))
+        _, rows = _spectrum_rows(pyramid, args.j1, args.j2)
     with _csv_writer(args.out,
                      ["octave_or_freq", "log2_value", "fitted_value"]) as w:
         for a, b, c in rows:

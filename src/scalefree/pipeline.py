@@ -226,10 +226,6 @@ class Dataset:
     taxonomy: MapTaxonomy
     sampling_rate: float
 
-    @property
-    def n_maps(self) -> int:
-        return self.taxonomy.n_maps
-
     def series_length(self, state: str) -> int:
         for subject in self.subjects:
             return self.runs[(subject, state)].shape[0]
@@ -400,8 +396,7 @@ def analyze_series(signal: Signal, config: AnalysisConfig,
         pyramid = dwt(signal, wavelet, j2)
         sup_magnitudes(pyramid, j1, j2)  # degenerate-input gate
 
-        spectrum = wavelet_spectrum(pyramid)
-        fit = fit_loglog(spectrum.octave_pairs(), j1, j2)
+        fit, rows = _spectrum_rows(pyramid, j1, j2)
         hurst = estimate_hurst(fit)
         shift = 1 if hurst.stationary else 0
         estimate = multifractal_estimate(
@@ -410,13 +405,9 @@ def analyze_series(signal: Signal, config: AnalysisConfig,
             gamma_eps=config.gamma_eps, p_max=config.p_max,
             reference_shift=shift, label=signal.label,
         )
-        order = np.argsort(spectrum.octave_index)
         diagnostics = dict(estimate.diagnostics)
         diagnostics["spectrum_fit"] = fit
-        diagnostics["spectrum_octaves"] = tuple(
-            int(j) for j in spectrum.octave_index[order])
-        diagnostics["spectrum_log2"] = tuple(
-            float(v) for v in np.log2(spectrum.power[order]))
+        diagnostics["spectrum_rows"] = rows
         diagnostics["welch_beta"] = _welch_beta_crosscheck(signal, config)
         return replace(
             estimate, beta=hurst.beta, hurst=hurst.hurst,
@@ -426,6 +417,19 @@ def analyze_series(signal: Signal, config: AnalysisConfig,
         if signal.label and signal.label not in str(exc):
             raise type(exc)(f"{signal.label}: {exc}") from exc
         raise
+
+
+def _spectrum_rows(pyramid, j1: int, j2: int) -> tuple:
+    """The wavelet spectrum of a pyramid and its fit over octaves j1..j2:
+    (fit, rows), one (octave, log2 power, fitted log2 power) row per
+    octave in ascending order."""
+    spectrum = wavelet_spectrum(pyramid)
+    fit = fit_loglog(spectrum.octave_pairs(), j1, j2)
+    order = np.argsort(spectrum.octave_index)
+    rows = tuple((j, float(logp), fit.slope * j + fit.intercept)
+                 for j, logp in zip(spectrum.octave_index[order].tolist(),
+                                    np.log2(spectrum.power[order])))
+    return fit, rows
 
 
 def _welch_beta_crosscheck(signal: Signal, config: AnalysisConfig) -> float:
@@ -465,14 +469,19 @@ def _synthetic_samples(config: AnalysisConfig, subject_idx: int, map_idx: int,
         sampling_rate=config.sampling_rate)).samples
 
 
-def _run_one(task) -> tuple:
-    key, samples, config, wavelet = task
-    try:
-        signal = Signal(np.asarray(samples), config.sampling_rate,
-                        label="/".join(key))
-        return key, analyze_series(signal, config, wavelet), None
-    except ScaleFreeError as exc:
-        return key, None, f"{type(exc).__name__}: {exc}"
+def _run_one(task) -> list:
+    """(key, estimate, error) of each series of one (subject, state) run;
+    a series that raises a ScaleFreeError fails alone."""
+    (subject, state), matrix, labels, config, wavelet = task
+    outcomes = []
+    for label, samples in zip(labels, matrix.T):
+        key = (subject, label, state)
+        try:
+            signal = Signal(samples, config.sampling_rate, label="/".join(key))
+            outcomes.append((key, analyze_series(signal, config, wavelet), None))
+        except ScaleFreeError as exc:
+            outcomes.append((key, None, f"{type(exc).__name__}: {exc}"))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -519,61 +528,55 @@ def _require_feasible(n: int, config: AnalysisConfig,
                              prefix=f"length {n}: ")
 
 
-def _pool_size(workers: int, n_items: int) -> int:
-    """Processes worth starting: at most one per core and one per item."""
-    return max(1, min(workers, os.cpu_count() or 1, n_items))
+def _pool_size(workers: int, n_runs: int) -> int:
+    """Processes worth starting: at most one per core and one per
+    (subject, state) run, the unit of work handed to the pool."""
+    return max(1, min(workers, os.cpu_count() or 1, n_runs))
 
 
 def _build_dataset(config: AnalysisConfig) -> Dataset:
-    if config.synthetic is not None:
-        syn = config.synthetic
-        counts = syn["maps"]
-        taxonomy = synthetic_taxonomy(counts["F"], counts["A"], counts["U"])
-        subjects = tuple(f"s{idx + 1:02d}" for idx in range(syn["subjects"]))
-        return Dataset(subjects=subjects, runs={}, taxonomy=taxonomy,
-                       sampling_rate=config.sampling_rate)
-    return load_dataset(config)
-
-
-def _work_items(config: AnalysisConfig, dataset: Dataset,
-                wavelet: MotherWavelet):
-    labels = dataset.taxonomy.display_labels()
-    items = []
-    for s_idx, subject in enumerate(dataset.subjects):
-        for k in range(dataset.n_maps):
-            for j, state in enumerate(STATES):
-                key = (subject, labels[k], state)
-                if config.synthetic is not None:
-                    cls = dataset.taxonomy.classes[k]
-                    samples = _synthetic_samples(config, s_idx, k, j, cls)
-                else:
-                    samples = dataset.runs[(subject, state)][:, k]
-                items.append((key, samples, config, wavelet))
-    return items
+    """The study as (n, K) run matrices: read from config.inputs, or
+    synthesized, column k of run (subject, state) being the series seeded
+    by (seed, subject, k, state)."""
+    if config.synthetic is None:
+        return load_dataset(config)
+    syn = config.synthetic
+    counts = syn["maps"]
+    taxonomy = synthetic_taxonomy(counts["F"], counts["A"], counts["U"])
+    subjects = tuple(f"s{idx + 1:02d}" for idx in range(syn["subjects"]))
+    runs = {(subject, state): np.column_stack([
+                _synthetic_samples(config, s_idx, k, j, cls)
+                for k, cls in enumerate(taxonomy.classes)])
+            for s_idx, subject in enumerate(subjects)
+            for j, state in enumerate(STATES)}
+    return Dataset(subjects=subjects, runs=runs, taxonomy=taxonomy,
+                   sampling_rate=config.sampling_rate)
 
 
 def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     """Execute the complete workflow and write all artifacts.
 
-    Per-series failures are collected, not fatal; subjects with incomplete
+    Each (subject, state) run is one task, serial or in a process pool;
+    per-series failures are collected, not fatal; subjects with incomplete
     cells are dropped (listwise) before the group stage.  Outputs are
     byte-identical across reruns and worker counts.
     """
     dataset = _build_dataset(config)
     wavelet = build_wavelet(config.n_vanishing)
-    lengths = ({config.synthetic["length"]} if config.synthetic is not None
-               else {dataset.series_length(state) for state in STATES})
-    for n in sorted(lengths):
+    for n in sorted({dataset.series_length(state) for state in STATES}):
         _require_feasible(n, config, wavelet)
 
-    items = _work_items(config, dataset, wavelet)
-    workers = _pool_size(config.workers, len(items))
+    labels = dataset.taxonomy.display_labels()
+    tasks = [(run, matrix, labels, config, wavelet)
+             for run, matrix in dataset.runs.items()]
+    workers = _pool_size(config.workers, len(tasks))
     if workers == 1:
-        outcomes = [_run_one(task) for task in items]
+        batches = list(map(_run_one, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, items, chunksize=8))
-    outcomes.sort(key=lambda o: o[0])
+            batches = list(pool.map(_run_one, tasks))
+    outcomes = sorted((o for batch in batches for o in batch),
+                      key=lambda o: o[0])
 
     results = {}
     failures = {}
@@ -594,7 +597,7 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
         "config_sha256": config.sha256(),
         "seed": config.seed,
         "version": __version__,
-        "n_series": len(items),
+        "n_series": len(outcomes),
         "n_failures": len(failures),
     }
     report = AnalysisReport(
@@ -659,11 +662,8 @@ def _write_report(config: AnalysisConfig, dataset: Dataset,
                 _fmt(e.diagnostics.get("welch_beta")), _fmt(e.hurst),
                 _fmt(e.stationary), _fmt(e.h_min), _fmt(e.gamma),
                 str(e.reference_shift), _fmt(e.c1), _fmt(e.c2), ""])
-            fit = e.diagnostics["spectrum_fit"]
-            for j, logp in zip(e.diagnostics["spectrum_octaves"],
-                               e.diagnostics["spectrum_log2"]):
+            for j, logp, fitted in e.diagnostics["spectrum_rows"]:
                 freq = scale_to_frequency(j, dataset.sampling_rate)
-                fitted = fit.slope * j + fit.intercept
                 spectra.writerow([key[0], key[1], key[2], str(j), _fmt(freq),
                                   _fmt(logp), _fmt(fitted)])
             for h, d in e.spectrum:

@@ -65,6 +65,23 @@ class TestSpectrumCommand:
         assert code == 1
         assert "no column" in capsys.readouterr().err
 
+    def test_bad_cell_located(self, tmp_path, signal_csv, capsys):
+        lines = signal_csv.read_text().splitlines()
+        cases = [  # (line 5 of the file, the error it must end in)
+            ("4,nan", "sig.csv:5: column value: non-finite value 'nan'"),
+            ("4,-inf", "sig.csv:5: column value: non-finite value '-inf'"),
+            ("4,x1", "sig.csv:5: column value: cannot parse 'x1'"),
+            ("4", "sig.csv:5: column value: cannot parse ''"),
+        ]
+        for row, named in cases:
+            lines[4] = row
+            signal_csv.write_text("\n".join(lines) + "\n")
+            code = main(["spectrum", "--in", str(signal_csv),
+                         "--out", str(tmp_path / "x.csv")])
+            err = capsys.readouterr().err
+            assert code == 1, row
+            assert err.startswith(f"error: {signal_csv.parent}") and named in err
+
 
 class TestAnalyzeCommand:
     def test_synthetic_config(self, tmp_path):

@@ -84,7 +84,7 @@ class TestLoadDataset:
         inputs = write_fixture_dataset(tmp_path)
         cfg = AnalysisConfig(inputs=inputs, sampling_rate=2.0)
         ds = load_dataset(cfg)
-        assert ds.n_maps == 3
+        assert ds.taxonomy.n_maps == 3
         assert ds.runs[("sub0", "rest")].shape == (64, 3)
 
     def test_nan_located(self, tmp_path):
@@ -297,7 +297,8 @@ class TestRunFullAnalysis:
         assert digests["a"] == digests["b"]
         assert digests["a"] == digests["c"]
 
-    def test_partial_failure_isolation(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partial_failure_isolation(self, tmp_path, workers):
         inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
                                        n=512, seed=5)
         # flatten one map of one subject; that series alone must fail
@@ -307,8 +308,11 @@ class TestRunFullAnalysis:
             r[2] = "5.0"
         path.write_text("\n".join(",".join(r) for r in rows) + "\n")
         cfg = AnalysisConfig(inputs=inputs, octave_range=(2, 5),
-                             output_dir=str(tmp_path / "out"), seed=0)
+                             output_dir=str(tmp_path / "out"), seed=0,
+                             workers=workers)
         report = run_full_analysis(cfg)
+        assert report.provenance["n_series"] == 24
+        assert report.provenance["n_failures"] == 1
         assert len(report.failures) == 1
         key = next(iter(report.failures))
         assert key[0] == "sub1" and key[2] == "rest"
@@ -320,6 +324,21 @@ class TestRunFullAnalysis:
         rows = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
         error_rows = [r for r in rows if ",error," in r]
         assert len(error_rows) == 1 and "sub1" in error_rows[0]
+
+    def test_synthetic_dataset_holds_run_matrices(self):
+        cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)
+        ds = pipeline._build_dataset(cfg)
+        classes = ds.taxonomy.classes
+        assert ds.subjects == ("s01", "s02", "s03", "s04")
+        assert set(ds.runs) == {(s, st) for s in ds.subjects
+                                for st in ("rest", "task")}
+        for (subject, state), matrix in ds.runs.items():
+            assert matrix.shape == (1024, len(classes))
+            s_idx = ds.subjects.index(subject)
+            j = ("rest", "task").index(state)
+            for k, cls in enumerate(classes):
+                expected = pipeline._synthetic_samples(cfg, s_idx, k, j, cls)
+                assert np.array_equal(matrix[:, k], expected)
 
     def test_output_schemas(self, tmp_path):
         out = tmp_path / "out"
