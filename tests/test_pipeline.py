@@ -297,8 +297,14 @@ class TestRunFullAnalysis:
         assert digests["a"] == digests["b"]
         assert digests["a"] == digests["c"]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_partial_failure_isolation(self, tmp_path, workers):
+    def test_partial_failure_isolation(self, tmp_path):
+        self._check_partial_failure_isolation(tmp_path, workers=1)
+
+    def test_partial_failure_isolation_pooled(self, tmp_path):
+        self._check_partial_failure_isolation(tmp_path, workers=2)
+
+    @staticmethod
+    def _check_partial_failure_isolation(tmp_path, workers):
         inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
                                        n=512, seed=5)
         # flatten one map of one subject; that series alone must fail
