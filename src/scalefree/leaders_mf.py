@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kstat
 
 from .errors import DegenerateInputError, ParameterError, ScaleRangeError
 from .scaling import _ols_line, fit_loglog
@@ -236,8 +235,10 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
 
     Per octave, unbiased sample cumulants (k-statistics) of ln L(j, .) are
     regressed against ln 2^j by OLS; the gamma correction applies to c_1
-    only.  Returns (c_p array ordered p = 1..p_max, diagnostics dict with
-    per-p r_squared and per-octave counts).
+    only.  The k-statistics come from power sums by the formulas of
+    scipy.stats' k-statistic function and are bitwise equal to it.  Returns
+    (c_p array ordered p = 1..p_max, diagnostics dict with per-p r_squared
+    and per-octave counts).
 
     Raises:
         ScaleRangeError: some octave in range has fewer than 8 valid
@@ -253,11 +254,8 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
     _require_cumulant_counts(counts)
 
     octaves = np.arange(j1, j2 + 1, dtype=np.float64)
-    cum_rows = []
-    for j in range(j1, j2 + 1):
-        ln_leaders = np.log(leaders.valid_values(j))
-        cum_rows.append([kstat(ln_leaders, p) for p in range(1, p_max + 1)])
-    cum = np.array(cum_rows)  # (n_octaves, p_max)
+    cum = np.array([_k_statistics(np.log(leaders.valid_values(j)), p_max)
+                    for j in range(j1, j2 + 1)])  # (n_octaves, p_max)
 
     x = octaves * math.log(2.0)
     c_p = np.empty(p_max)
@@ -272,6 +270,21 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
         "counts": np.array([counts[j] for j in range(j1, j2 + 1)]),
     }
     return c_p, diagnostics
+
+
+def _k_statistics(x: np.ndarray, p_max: int) -> tuple:
+    """k-statistics k_1..k_p_max of x from the power sums S_r = sum(x**r) by
+    the formulas of scipy.stats' k-statistic function, in its operation
+    order, so each equals it bitwise (centred moments round differently)."""
+    n = x.size
+    s1, s2, s3, s4 = (float(np.sum(x**r)) if r <= p_max else 0.0
+                      for r in range(1, MAX_P + 1))
+    k = (s1 * 1.0/n,
+         (n*s2 - s1**2.0) / (n*(n - 1.0)),
+         (2*s1**3 - 3*n*s1*s2 + n*n*s3) / (n*(n - 1.0)*(n - 2.0)),
+         (-6*s1**4 + 12*n*s1**2 * s2 - 3*n*(n-1.0)*s2**2
+          - 4*n*(n+1)*s1*s3 + n*n*(n+1)*s4) / (n*(n-1.0)*(n-2.0)*(n-3.0)))
+    return k[:p_max]
 
 
 def _require_cumulant_counts(counts: dict, prefix: str = "") -> None:

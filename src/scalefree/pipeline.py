@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -561,8 +562,10 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     cells are dropped (listwise) before the group stage.  Outputs are
     byte-identical across reruns and worker counts.
     """
-    dataset = _build_dataset(config)
     wavelet = build_wavelet(config.n_vanishing)
+    if config.synthetic is not None:  # fail before any column is synthesized
+        _require_feasible(config.synthetic["length"], config, wavelet)
+    dataset = _build_dataset(config)
     for n in sorted({dataset.series_length(state) for state in STATES}):
         _require_feasible(n, config, wavelet)
 
@@ -633,6 +636,13 @@ def _csv_writer(path, header):
         yield writer
 
 
+def _csv_prefix(fields) -> str:
+    """fields as the leading cells of a CSV row, quoted by csv rules."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1] + ","
+
+
 def _write_report(config: AnalysisConfig, dataset: Dataset,
                   report: AnalysisReport) -> None:
     out = Path(config.output_dir)
@@ -641,15 +651,16 @@ def _write_report(config: AnalysisConfig, dataset: Dataset,
     keys = [(s, lab, st) for s in dataset.subjects for lab in labels
             for st in STATES]
 
+    # spectra.csv and dh_curves.csv rows: the quoted key, then "%.17g" as _fmt
     with (_csv_writer(out / "estimates.csv", [
             "subject", "map", "state", "status", "beta", "welch_beta", "hurst",
             "stationary", "h_min", "gamma", "reference_shift", "c1", "c2",
             "error"]) as estimates,
-          _csv_writer(out / "spectra.csv", [
-            "subject", "map", "state", "octave", "frequency_hz", "log2_power",
-            "fitted_log2_power"]) as spectra,
-          _csv_writer(out / "dh_curves.csv",
-                      ["subject", "map", "state", "h", "d"]) as dh_curves):
+          open(out / "spectra.csv", "w", newline="\n", encoding="utf-8") as spectra,
+          open(out / "dh_curves.csv", "w", newline="\n", encoding="utf-8") as dh_curves):
+        spectra.write("subject,map,state,octave,frequency_hz,log2_power,"
+                      "fitted_log2_power\n")
+        dh_curves.write("subject,map,state,h,d\n")
         for key in keys:
             e = report.results.get(key)
             if e is None:
@@ -662,12 +673,14 @@ def _write_report(config: AnalysisConfig, dataset: Dataset,
                 _fmt(e.diagnostics.get("welch_beta")), _fmt(e.hurst),
                 _fmt(e.stationary), _fmt(e.h_min), _fmt(e.gamma),
                 str(e.reference_shift), _fmt(e.c1), _fmt(e.c2), ""])
-            for j, logp, fitted in e.diagnostics["spectrum_rows"]:
-                freq = scale_to_frequency(j, dataset.sampling_rate)
-                spectra.writerow([key[0], key[1], key[2], str(j), _fmt(freq),
-                                  _fmt(logp), _fmt(fitted)])
-            for h, d in e.spectrum:
-                dh_curves.writerow([key[0], key[1], key[2], _fmt(h), _fmt(d)])
+            prefix = _csv_prefix(key)
+            spectra.write("".join([
+                "%s%d,%.17g,%.17g,%.17g\n" % (
+                    prefix, j, scale_to_frequency(j, dataset.sampling_rate),
+                    logp, fitted)
+                for j, logp, fitted in e.diagnostics["spectrum_rows"]]))
+            dh_curves.write("".join(["%s%.17g,%.17g\n" % (prefix, h, d)
+                                     for h, d in e.spectrum.tolist()]))
 
     with _csv_writer(out / "pvalues.csv", [
             "level", "map", "parameter", "test", "statistic", "p",

@@ -147,3 +147,33 @@ def anova_by_hand(cells):
         "F_AB": (ss_ab / ((a - 1) * (b - 1)))
                 / (ss_abs / ((a - 1) * (b - 1) * (s - 1))),
     }
+
+
+def spectra_dh_by_csv_writer(report, subjects, labels, sampling_rate):
+    """(spectra.csv, dh_curves.csv) text of a report, one csv.writer row
+    per line and "%.17g" per float cell, keys in (subject, map, state)
+    order."""
+    import csv
+    import io
+    from scalefree.scaling import scale_to_frequency
+
+    def fmt(x):
+        return "%.17g" % float(x)
+
+    spectra, dh = io.StringIO(), io.StringIO()
+    ws = csv.writer(spectra, lineterminator="\n")
+    wd = csv.writer(dh, lineterminator="\n")
+    ws.writerow(["subject", "map", "state", "octave", "frequency_hz",
+                 "log2_power", "fitted_log2_power"])
+    wd.writerow(["subject", "map", "state", "h", "d"])
+    for key in [(s, lab, st) for s in subjects for lab in labels
+                for st in ("rest", "task")]:
+        e = report.results.get(key)
+        if e is None:
+            continue
+        for j, logp, fitted in e.diagnostics["spectrum_rows"]:
+            ws.writerow([*key, str(j), fmt(scale_to_frequency(j, sampling_rate)),
+                         fmt(logp), fmt(fitted)])
+        for h, d in e.spectrum:
+            wd.writerow([*key, fmt(h), fmt(d)])
+    return spectra.getvalue(), dh.getvalue()

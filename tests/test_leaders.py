@@ -8,11 +8,12 @@ from scipy.stats import kstat
 
 from scalefree.errors import (DegenerateInputError, ParameterError,
                               ScaleRangeError)
-from scalefree.leaders_mf import (DEFAULT_Q_GRID, compute_leaders,
-                                  global_regularity, legendre_spectrum,
-                                  log_cumulants, multifractal_estimate,
-                                  parabolic_spectrum, select_gamma,
-                                  structure_functions, zeta_exponents)
+from scalefree.leaders_mf import (DEFAULT_Q_GRID, _k_statistics,
+                                  compute_leaders, global_regularity,
+                                  legendre_spectrum, log_cumulants,
+                                  multifractal_estimate, parabolic_spectrum,
+                                  select_gamma, structure_functions,
+                                  zeta_exponents)
 from scalefree.synth import GeneratorSpec, gen_fbm, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, WaveletPyramid, build_wavelet, dwt
 
@@ -303,6 +304,20 @@ class TestLogCumulants:
                 slope -= leaders.gamma
             assert c_p[p - 1] == pytest.approx(slope, rel=1e-12, abs=1e-12)
             assert diag["r_squared"][p - 1] == pytest.approx(r2, rel=1e-12)
+
+    @given(st.integers(8, 4096), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3), st.floats(-100.0, 100.0), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_k_statistics_equal_scipy_kstat(self, n, seed, scale, offset,
+                                            p_max):
+        # log-leader-like sample: ln of a 3-neighbourhood sup of |N(0, 1)|
+        rng = np.random.default_rng(seed)
+        sups = np.abs(rng.standard_normal((3, n))).max(axis=0)
+        x = offset + scale * np.log(sups)
+        k = _k_statistics(x, p_max)
+        assert len(k) == p_max
+        for p in range(1, p_max + 1):
+            assert k[p - 1] == kstat(x, p)
 
     def test_thin_octave_proposes_smaller_j2(self, db3):
         p = dwt(gen_fgn(GeneratorSpec("fgn", 0.5, 512, seed=0)), db3, 6)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,13 @@ from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
 from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, dwt
 
+from oracles import spectra_dh_by_csv_writer
+
 SMALL_SYNTH = {"subjects": 4, "length": 1024, "maps": {"F": 3, "A": 2, "U": 1}}
 
 
-def write_fixture_dataset(root: Path, n_subjects=2, n_maps=3, n=64, seed=0):
+def write_fixture_dataset(root: Path, n_subjects=2, n_maps=3, n=64, seed=0,
+                          ids=None):
     rng = np.random.default_rng(seed)
     tax = root / "taxonomy.csv"
     rows = [["map_index", "class", "network_or_artifact"]]
@@ -32,7 +36,7 @@ def write_fixture_dataset(root: Path, n_subjects=2, n_maps=3, n=64, seed=0):
     tax.write_text("\n".join(",".join(r) for r in rows) + "\n")
     subjects = []
     for s in range(n_subjects):
-        entry = {"id": f"sub{s}"}
+        entry = {"id": ids[s] if ids else f"sub{s}"}
         for state in ("rest", "task"):
             path = root / f"sub{s}_{state}.csv"
             with open(path, "w", newline="") as fh:
@@ -44,6 +48,14 @@ def write_fixture_dataset(root: Path, n_subjects=2, n_maps=3, n=64, seed=0):
             entry[state] = str(path)
         subjects.append(entry)
     return {"subjects": subjects, "taxonomy": str(tax)}
+
+
+def flatten_map(path: Path, column: int):
+    """Overwrite one map column of a run CSV with a constant."""
+    rows = [r.split(",") for r in path.read_text().splitlines()]
+    for r in rows[1:]:
+        r[column] = "5.0"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
 
 
 class TestConfig:
@@ -265,6 +277,18 @@ class TestRunFullAnalysis:
             run_full_analysis(cfg)
         assert not (tmp_path / "out").exists()
 
+    def test_infeasible_synthetic_fails_before_synthesis(self, tmp_path,
+                                                         monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a series was synthesized")
+
+        monkeypatch.setattr(pipeline, "gen_mrw", unexpected)
+        monkeypatch.setattr(pipeline, "gen_fgn", unexpected)
+        cfg = AnalysisConfig(synthetic={}, octave_range=(3, 9),
+                             output_dir=str(tmp_path / "out"))
+        with pytest.raises(ScaleRangeError, match="length 2048"):
+            run_full_analysis(cfg)
+
     def test_pool_size_is_bounded(self):
         cores = os.cpu_count() or 1
         assert _pool_size(10**6, 5) == min(5, cores)
@@ -308,11 +332,7 @@ class TestRunFullAnalysis:
         inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
                                        n=512, seed=5)
         # flatten one map of one subject; that series alone must fail
-        path = Path(inputs["subjects"][1]["rest"])
-        rows = [r.split(",") for r in path.read_text().splitlines()]
-        for r in rows[1:]:
-            r[2] = "5.0"
-        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        flatten_map(Path(inputs["subjects"][1]["rest"]), 2)
         cfg = AnalysisConfig(inputs=inputs, octave_range=(2, 5),
                              output_dir=str(tmp_path / "out"), seed=0,
                              workers=workers)
@@ -330,6 +350,28 @@ class TestRunFullAnalysis:
         rows = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
         error_rows = [r for r in rows if ",error," in r]
         assert len(error_rows) == 1 and "sub1" in error_rows[0]
+
+    def test_spectra_and_dh_match_csv_writer(self, tmp_path):
+        ids = ["s,1", 'q"2', "sub2", "sub3"]
+        inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
+                                       n=512, seed=5, ids=ids)
+        flatten_map(Path(inputs["subjects"][1]["task"]), 2)  # fails alone
+        cfg = AnalysisConfig(inputs=inputs, octave_range=(2, 5),
+                             sampling_rate=2.0, output_dir=str(tmp_path / "out"))
+        report = run_full_analysis(cfg)
+        assert list(report.failures) == [('q"2', "a_1", "task")]
+
+        labels = load_taxonomy(inputs["taxonomy"]).display_labels()
+        expected = spectra_dh_by_csv_writer(report, ids, labels, 2.0)
+        for name, text in zip(("spectra.csv", "dh_curves.csv"), expected):
+            written = (tmp_path / "out" / name).read_bytes()
+            assert written == text.encode("utf-8"), name
+            with open(tmp_path / "out" / name, newline="") as fh:
+                keys = Counter(tuple(r[:3]) for r in list(csv.reader(fh))[1:])
+            assert keys == {
+                key: len(e.diagnostics["spectrum_rows"] if name == "spectra.csv"
+                         else e.spectrum)
+                for key, e in report.results.items()}
 
     def test_synthetic_dataset_holds_run_matrices(self):
         cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)
