@@ -20,7 +20,7 @@ import os
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -219,8 +219,29 @@ def synthetic_taxonomy(n_f: int = 25, n_a: int = 13, n_u: int = 4) -> MapTaxonom
 
 
 @dataclass(frozen=True)
+class SyntheticRun:
+    """Recipe for the (n, K) matrix of one synthetic (subject, state) run:
+    column k is the series seeded by (seed, subject_idx, k, state_idx)."""
+
+    subject_idx: int
+    state_idx: int
+    classes: tuple
+    length: int
+
+    @property
+    def shape(self) -> tuple:
+        return (self.length, len(self.classes))
+
+    def matrix(self, config: AnalysisConfig) -> np.ndarray:
+        return np.column_stack([
+            _synthetic_samples(config, self.subject_idx, k, self.state_idx, cls)
+            for k, cls in enumerate(self.classes)])
+
+
+@dataclass(frozen=True)
 class Dataset:
-    """Per-subject, per-state map time-series matrices (n x K)."""
+    """Per-subject, per-state runs: (n, K) map time-series matrices read
+    from files, or SyntheticRun recipes that expand to them."""
 
     subjects: tuple
     runs: dict
@@ -297,11 +318,16 @@ def _parse_cell(tok: str, where: str) -> float:
 def _load_run_csv(path, n_maps: int) -> np.ndarray:
     with _csv_rows(path) as (header, lines):
         expected = ["t"] + [f"map_{k}" for k in range(1, n_maps + 1)]
-        if header != expected:
+        if len(header) != len(expected):
             raise DataFormatError(
                 f"{path}: header has {len(header) - 1} map column(s), "
                 f"taxonomy declares {n_maps}"
             )
+        for col, (got, want) in enumerate(zip(header, expected), start=1):
+            if got != want:
+                raise DataFormatError(
+                    f"{path}:1: column {col} is {got!r}, expected {want!r} "
+                    f"(header t,map_1..map_{n_maps})")
         rows = []
         for line_no, row in lines:
             if len(row) != n_maps + 1:
@@ -471,9 +497,11 @@ def _synthetic_samples(config: AnalysisConfig, subject_idx: int, map_idx: int,
 
 
 def _run_one(task) -> list:
-    """(key, estimate, error) of each series of one (subject, state) run;
-    a series that raises a ScaleFreeError fails alone."""
-    (subject, state), matrix, labels, config, wavelet = task
+    """(key, estimate, error, text) of each series of one (subject, state)
+    run; a series that raises a ScaleFreeError fails alone.  The run is
+    expanded (if a recipe), analyzed, then formatted, in that order."""
+    (subject, state), run, labels, config, wavelet = task
+    matrix = run.matrix(config) if isinstance(run, SyntheticRun) else run
     outcomes = []
     for label, samples in zip(labels, matrix.T):
         key = (subject, label, state)
@@ -482,7 +510,9 @@ def _run_one(task) -> list:
             outcomes.append((key, analyze_series(signal, config, wavelet), None))
         except ScaleFreeError as exc:
             outcomes.append((key, None, f"{type(exc).__name__}: {exc}"))
-    return outcomes
+    return [(key, estimate, error,
+             _series_text(key, estimate, error, config.sampling_rate))
+            for key, estimate, error in outcomes]
 
 
 @dataclass(frozen=True)
@@ -536,18 +566,16 @@ def _pool_size(workers: int, n_runs: int) -> int:
 
 
 def _build_dataset(config: AnalysisConfig) -> Dataset:
-    """The study as (n, K) run matrices: read from config.inputs, or
-    synthesized, column k of run (subject, state) being the series seeded
-    by (seed, subject, k, state)."""
+    """The study's runs: (n, K) matrices read from config.inputs, or one
+    SyntheticRun recipe per (subject, state), expanded by the worker."""
     if config.synthetic is None:
         return load_dataset(config)
     syn = config.synthetic
     counts = syn["maps"]
     taxonomy = synthetic_taxonomy(counts["F"], counts["A"], counts["U"])
     subjects = tuple(f"s{idx + 1:02d}" for idx in range(syn["subjects"]))
-    runs = {(subject, state): np.column_stack([
-                _synthetic_samples(config, s_idx, k, j, cls)
-                for k, cls in enumerate(taxonomy.classes)])
+    runs = {(subject, state): SyntheticRun(s_idx, j, taxonomy.classes,
+                                           syn["length"])
             for s_idx, subject in enumerate(subjects)
             for j, state in enumerate(STATES)}
     return Dataset(subjects=subjects, runs=runs, taxonomy=taxonomy,
@@ -557,37 +585,21 @@ def _build_dataset(config: AnalysisConfig) -> Dataset:
 def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     """Execute the complete workflow and write all artifacts.
 
-    Each (subject, state) run is one task, serial or in a process pool;
-    per-series failures are collected, not fatal; subjects with incomplete
-    cells are dropped (listwise) before the group stage.  Outputs are
-    byte-identical across reruns and worker counts.
+    Each (subject, state) run is one task, serial or in a process pool,
+    that analyzes and formats its series; the per-series files are
+    written subject by subject as runs come back.  Per-series failures
+    are collected, not fatal; subjects with incomplete cells are dropped
+    (listwise) before the group stage.  Outputs are byte-identical across
+    reruns and worker counts.
     """
     wavelet = build_wavelet(config.n_vanishing)
-    if config.synthetic is not None:  # fail before any column is synthesized
-        _require_feasible(config.synthetic["length"], config, wavelet)
     dataset = _build_dataset(config)
     for n in sorted({dataset.series_length(state) for state in STATES}):
         _require_feasible(n, config, wavelet)
 
-    labels = dataset.taxonomy.display_labels()
-    tasks = [(run, matrix, labels, config, wavelet)
-             for run, matrix in dataset.runs.items()]
-    workers = _pool_size(config.workers, len(tasks))
-    if workers == 1:
-        batches = list(map(_run_one, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_one, tasks))
-    outcomes = sorted((o for batch in batches for o in batch),
-                      key=lambda o: o[0])
-
-    results = {}
-    failures = {}
-    for key, result, error in outcomes:
-        if error is None:
-            results[key] = result
-        else:
-            failures[key] = error
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results, failures = _analyze_runs(config, dataset, wavelet, out)
 
     cells = {key: (e.c1, e.c2, e.hurst) for key, e in results.items()}
     table, dropped = _group_table(dataset.subjects, dataset.taxonomy, cells)
@@ -600,7 +612,7 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
         "config_sha256": config.sha256(),
         "seed": config.seed,
         "version": __version__,
-        "n_series": len(outcomes),
+        "n_series": len(results) + len(failures),
         "n_failures": len(failures),
     }
     report = AnalysisReport(
@@ -608,8 +620,50 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
         battery=battery, provenance=provenance, dropped_subjects=dropped,
         output_dir=config.output_dir,
     )
-    _write_report(config, dataset, report)
+    _write_report(config, report)
     return report
+
+
+def _run_tasks(config: AnalysisConfig, dataset: Dataset,
+               wavelet: MotherWavelet) -> list:
+    """One _run_one task per (subject, state) run, subject by subject."""
+    labels = dataset.taxonomy.display_labels()
+    return [((subject, state), dataset.runs[(subject, state)], labels,
+             config, wavelet)
+            for subject in dataset.subjects for state in STATES]
+
+
+def _analyze_runs(config: AnalysisConfig, dataset: Dataset,
+                  wavelet: MotherWavelet, out: Path) -> tuple:
+    """(results, failures) of every run.  estimates.csv, spectra.csv and
+    dh_curves.csv are written as each subject's runs come back, in
+    (subject, map, state) order, and their text is then dropped."""
+    tasks = _run_tasks(config, dataset, wavelet)
+    results = {}
+    failures = {}
+    with ExitStack() as stack:
+        files = [stack.enter_context(
+                     open(out / name, "w", newline="\n", encoding="utf-8"))
+                 for name in _SERIES_FILES]
+        for fh, header in zip(files, _SERIES_FILES.values()):
+            fh.write(header)
+        workers = _pool_size(config.workers, len(tasks))
+        if workers == 1:
+            batches = map(_run_one, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            batches = pool.map(_run_one, tasks)
+        for _ in dataset.subjects:
+            runs = [next(batches) for _ in STATES]
+            for series in zip(*runs):  # one map, every state
+                for key, estimate, error, text in series:
+                    if error is None:
+                        results[key] = estimate
+                    else:
+                        failures[key] = error
+                    for fh, block in zip(files, text):
+                        fh.write(block)
+    return results, failures
 
 
 def _group_table(subjects, taxonomy: MapTaxonomy, cells: dict) -> tuple:
@@ -636,52 +690,49 @@ def _csv_writer(path, header):
         yield writer
 
 
-def _csv_prefix(fields) -> str:
-    """fields as the leading cells of a CSV row, quoted by csv rules."""
+def _csv_line(fields) -> str:
+    """fields as one CSV row, quoted by csv rules, ending in \\n."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()[:-1] + ","
+    return buf.getvalue()
 
 
-def _write_report(config: AnalysisConfig, dataset: Dataset,
-                  report: AnalysisReport) -> None:
+# The per-series files and their headers, in the order of _series_text.
+_SERIES_FILES = {
+    "estimates.csv": _csv_line([
+        "subject", "map", "state", "status", "beta", "welch_beta", "hurst",
+        "stationary", "h_min", "gamma", "reference_shift", "c1", "c2",
+        "error"]),
+    "spectra.csv": "subject,map,state,octave,frequency_hz,log2_power,"
+                   "fitted_log2_power\n",
+    "dh_curves.csv": "subject,map,state,h,d\n",
+}
+
+
+def _series_text(key, e: MfEstimate | None, error: str | None,
+                 sampling_rate: float) -> tuple:
+    """The estimates.csv row, spectra.csv rows and dh_curves.csv rows of
+    one series.  The last two are "%.17g" templates, as _fmt, behind the
+    key quoted once by csv rules; a failed series has only its row."""
+    if e is None:
+        return _csv_line([*key, "error"] + [""] * 9 + [error]), "", ""
+    row = _csv_line([
+        *key, "ok", _fmt(e.beta), _fmt(e.diagnostics.get("welch_beta")),
+        _fmt(e.hurst), _fmt(e.stationary), _fmt(e.h_min), _fmt(e.gamma),
+        str(e.reference_shift), _fmt(e.c1), _fmt(e.c2), ""])
+    prefix = _csv_line(key)[:-1] + ","
+    spectra = "".join([
+        "%s%d,%.17g,%.17g,%.17g\n" % (
+            prefix, j, scale_to_frequency(j, sampling_rate), logp, fitted)
+        for j, logp, fitted in e.diagnostics["spectrum_rows"]])
+    dh = "".join(["%s%.17g,%.17g\n" % (prefix, h, d)
+                  for h, d in e.spectrum.tolist()])
+    return row, spectra, dh
+
+
+def _write_report(config: AnalysisConfig, report: AnalysisReport) -> None:
+    """pvalues.csv, group_report.json and config_resolved.json."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    labels = dataset.taxonomy.display_labels()
-    keys = [(s, lab, st) for s in dataset.subjects for lab in labels
-            for st in STATES]
-
-    # spectra.csv and dh_curves.csv rows: the quoted key, then "%.17g" as _fmt
-    with (_csv_writer(out / "estimates.csv", [
-            "subject", "map", "state", "status", "beta", "welch_beta", "hurst",
-            "stationary", "h_min", "gamma", "reference_shift", "c1", "c2",
-            "error"]) as estimates,
-          open(out / "spectra.csv", "w", newline="\n", encoding="utf-8") as spectra,
-          open(out / "dh_curves.csv", "w", newline="\n", encoding="utf-8") as dh_curves):
-        spectra.write("subject,map,state,octave,frequency_hz,log2_power,"
-                      "fitted_log2_power\n")
-        dh_curves.write("subject,map,state,h,d\n")
-        for key in keys:
-            e = report.results.get(key)
-            if e is None:
-                if key in report.failures:
-                    estimates.writerow([key[0], key[1], key[2], "error"]
-                                       + [""] * 9 + [report.failures[key]])
-                continue
-            estimates.writerow([
-                key[0], key[1], key[2], "ok", _fmt(e.beta),
-                _fmt(e.diagnostics.get("welch_beta")), _fmt(e.hurst),
-                _fmt(e.stationary), _fmt(e.h_min), _fmt(e.gamma),
-                str(e.reference_shift), _fmt(e.c1), _fmt(e.c2), ""])
-            prefix = _csv_prefix(key)
-            spectra.write("".join([
-                "%s%d,%.17g,%.17g,%.17g\n" % (
-                    prefix, j, scale_to_frequency(j, dataset.sampling_rate),
-                    logp, fitted)
-                for j, logp, fitted in e.diagnostics["spectrum_rows"]]))
-            dh_curves.write("".join(["%s%.17g,%.17g\n" % (prefix, h, d)
-                                     for h, d in e.spectrum.tolist()]))
-
     with _csv_writer(out / "pvalues.csv", [
             "level", "map", "parameter", "test", "statistic", "p",
             "p_corrected"]) as w:

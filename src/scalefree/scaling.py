@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import signal as sp_signal
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
+from scipy.signal import get_window
 
 from .errors import EstimationError, ParameterError, ScaleRangeError
 from .wavelet import Signal, WaveletPyramid
@@ -94,7 +96,9 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     """Averaged windowed periodogram, one-sided, density scaling.
 
     The integral of the returned PSD over frequency approximates the
-    signal variance (segments are mean-detrended).
+    signal variance (segments are mean-detrended).  Power and frequencies
+    equal scipy.signal.welch's bitwise (detrend="constant", the DC bin
+    dropped): its operations run in its order, on all segments at once.
 
     Raises:
         EstimationError: if the segmentation yields fewer than 2 segments.
@@ -120,12 +124,19 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
             f"only {n_segments} segment(s) of length {segment_length}; "
             "shorten segments or provide more data"
         )
-    win = "hann" if window == "hann" else "boxcar"
-    freqs, power = sp_signal.welch(
-        x, fs=signal.sampling_rate, window=win, nperseg=segment_length,
-        noverlap=noverlap, detrend="constant", scaling="density",
-        return_onesided=True,
-    )
+    # Bitwise equality with scipy needs its exact operations: the builtin
+    # sum in the window norm, and the average over segments taken along
+    # contiguous memory (numpy sums a strided axis in another order).
+    fs = signal.sampling_rate
+    win = get_window("hann" if window == "hann" else "boxcar", segment_length)
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
+    segments = sliding_window_view(x, segment_length)[::step][:n_segments]
+    segments = segments - np.mean(segments, axis=-1, keepdims=True)
+    spectra = sp_fft.rfft(segments * win, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    power[:, 1:None if segment_length % 2 else -1] *= 2
+    power = np.ascontiguousarray(power.T).mean(axis=-1)
+    freqs = sp_fft.rfftfreq(segment_length, 1 / fs)
     return SpectrumEstimate(frequencies=freqs[1:], power=power[1:], method="welch")
 
 

@@ -137,6 +137,19 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="taxonomy declares 3"):
             load_dataset(AnalysisConfig(inputs=inputs))
 
+    def test_misnamed_header_names_first_wrong_column(self, tmp_path):
+        inputs = write_fixture_dataset(tmp_path)
+        path = Path(inputs["subjects"][0]["rest"])
+        text = path.read_text().splitlines()
+        text[0] = "t,map_1,m1,m2"  # right count, wrong names
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(AnalysisConfig(inputs=inputs))
+        message = str(info.value)
+        assert f"{path}:1: column 3 is 'm1', expected 'map_2'" in message
+        assert "t,map_1..map_3" in message
+        assert "declares" not in message
+
     def test_length_mismatch(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
         path = Path(inputs["subjects"][1]["rest"])
@@ -373,20 +386,63 @@ class TestRunFullAnalysis:
                          else e.spectrum)
                 for key, e in report.results.items()}
 
-    def test_synthetic_dataset_holds_run_matrices(self):
+    def test_synthetic_recipes_expand_to_samples(self):
         cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)
         ds = pipeline._build_dataset(cfg)
         classes = ds.taxonomy.classes
         assert ds.subjects == ("s01", "s02", "s03", "s04")
         assert set(ds.runs) == {(s, st) for s in ds.subjects
                                 for st in ("rest", "task")}
-        for (subject, state), matrix in ds.runs.items():
-            assert matrix.shape == (1024, len(classes))
+        for (subject, state), run in ds.runs.items():
+            matrix = run.matrix(cfg)
+            assert run.shape == matrix.shape == (1024, len(classes))
             s_idx = ds.subjects.index(subject)
             j = ("rest", "task").index(state)
             for k, cls in enumerate(classes):
                 expected = pipeline._synthetic_samples(cfg, s_idx, k, j, cls)
                 assert np.array_equal(matrix[:, k], expected)
+
+    def test_synthetic_tasks_carry_recipes_not_samples(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a series was synthesized")
+
+        monkeypatch.setattr(pipeline, "gen_mrw", unexpected)
+        monkeypatch.setattr(pipeline, "gen_fgn", unexpected)
+        cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)
+        ds = pipeline._build_dataset(cfg)
+        tasks = pipeline._run_tasks(cfg, ds, pipeline.build_wavelet(3))
+        assert [task[0] for task in tasks] == [
+            (s, st) for s in ds.subjects for st in ("rest", "task")]
+        assert all(isinstance(task[1], pipeline.SyntheticRun)
+                   for task in tasks)
+
+    def test_file_study_streams_in_subject_order(self, tmp_path):
+        ids = ["b", "a", "c"]
+        inputs = write_fixture_dataset(tmp_path, n_subjects=3, n_maps=3,
+                                       n=512, seed=7, ids=ids)
+        flatten_map(Path(inputs["subjects"][1]["task"]), 2)  # fails alone
+        digests = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            report = run_full_analysis(AnalysisConfig(
+                inputs=inputs, octave_range=(2, 5), output_dir=str(out),
+                workers=workers))
+            assert list(report.failures) == [("a", "a_1", "task")]
+            digests[workers] = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(out.iterdir())}
+            labels = ("f_1", "a_1", "u_1")
+            expected = [(s, lab, st) for s in ids for lab in labels
+                        for st in ("rest", "task")]
+            for name in ("estimates.csv", "spectra.csv", "dh_curves.csv"):
+                with open(out / name, newline="") as fh:
+                    keys = [tuple(r[:3]) for r in list(csv.reader(fh))[1:]]
+                order = list(dict.fromkeys(keys))
+                assert order == (expected if name == "estimates.csv" else
+                                 [k for k in expected
+                                  if k != ("a", "a_1", "task")]), name
+        assert len(digests[1]) == 6
+        assert digests[1] == digests[2]
 
     def test_output_schemas(self, tmp_path):
         out = tmp_path / "out"

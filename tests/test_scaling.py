@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal as sp_signal
 
 from scalefree.errors import EstimationError, ParameterError, ScaleRangeError
 from scalefree.scaling import (ScalingFit, SpectrumEstimate,
@@ -134,6 +137,26 @@ class TestWelch:
         sig = Signal(np.random.default_rng(0).standard_normal(64), 1.0, "x")
         with pytest.raises(EstimationError):
             welch_psd(sig, segment_length=64)
+
+    @given(n=st.integers(16, 20_000), fraction=st.floats(0.0, 0.5),
+           overlap=st.floats(0.0, 0.99), fs=st.floats(1e-2, 1e3),
+           window=st.sampled_from(["hann", "rect"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1000, fraction=0.127, overlap=0.5, fs=2.5, window="hann",
+             seed=0)  # odd segment length 127, non-unit sampling rate
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scipy_welch(self, n, fraction, overlap, fs, window, seed):
+        segment_length = max(8, int(fraction * n))
+        x = np.random.default_rng(seed).standard_normal(n)
+        spec = welch_psd(Signal(x, fs), segment_length=segment_length,
+                         overlap_fraction=overlap, window=window)
+        freqs, power = sp_signal.welch(
+            x, fs=fs, window="hann" if window == "hann" else "boxcar",
+            nperseg=segment_length,
+            noverlap=int(overlap * segment_length), detrend="constant",
+            scaling="density", return_onesided=True)
+        assert np.array_equal(spec.frequencies, freqs[1:])
+        assert np.array_equal(spec.power, power[1:])
 
     def test_default_segment_length(self):
         assert default_segment_length(4096) == 512
