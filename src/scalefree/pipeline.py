@@ -226,11 +226,6 @@ class SyntheticRun:
     subject_idx: int
     state_idx: int
     classes: tuple
-    length: int
-
-    @property
-    def shape(self) -> tuple:
-        return (self.length, len(self.classes))
 
     def matrix(self, config: AnalysisConfig) -> np.ndarray:
         return np.column_stack([
@@ -247,11 +242,6 @@ class Dataset:
     runs: dict
     taxonomy: MapTaxonomy
     sampling_rate: float
-
-    def series_length(self, state: str) -> int:
-        for subject in self.subjects:
-            return self.runs[(subject, state)].shape[0]
-        raise ParameterError("dataset has no subjects")
 
 
 @contextmanager
@@ -574,8 +564,9 @@ def _build_dataset(config: AnalysisConfig) -> Dataset:
     counts = syn["maps"]
     taxonomy = synthetic_taxonomy(counts["F"], counts["A"], counts["U"])
     subjects = tuple(f"s{idx + 1:02d}" for idx in range(syn["subjects"]))
-    runs = {(subject, state): SyntheticRun(s_idx, j, taxonomy.classes,
-                                           syn["length"])
+    if not subjects:
+        raise ParameterError("dataset has no subjects")
+    runs = {(subject, state): SyntheticRun(s_idx, j, taxonomy.classes)
             for s_idx, subject in enumerate(subjects)
             for j, state in enumerate(STATES)}
     return Dataset(subjects=subjects, runs=runs, taxonomy=taxonomy,
@@ -590,38 +581,62 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     written subject by subject as runs come back.  Per-series failures
     are collected, not fatal; subjects with incomplete cells are dropped
     (listwise) before the group stage.  Outputs are byte-identical across
-    reruns and worker counts.
+    reruns and worker counts, and are renamed into place only once all six
+    are written.
     """
     wavelet = build_wavelet(config.n_vanishing)
     dataset = _build_dataset(config)
-    for n in sorted({dataset.series_length(state) for state in STATES}):
+    # Every run of a state has the same length (load_dataset checks it).
+    lengths = ({config.synthetic["length"]} if config.synthetic is not None
+               else {dataset.runs[(dataset.subjects[0], state)].shape[0]
+                     for state in STATES})
+    for n in sorted(lengths):
         _require_feasible(n, config, wavelet)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results, failures = _analyze_runs(config, dataset, wavelet, out)
+    with _published(out, [*_SERIES_FILES, *_REPORT_FILES]) as paths:
+        results, failures = _analyze_runs(config, dataset, wavelet, paths)
 
-    cells = {key: (e.c1, e.c2, e.hurst) for key, e in results.items()}
-    table, dropped = _group_table(dataset.subjects, dataset.taxonomy, cells)
-    summary = battery = None
-    if table is not None:
-        summary = aggregate(table)
-        battery = run_battery(table, alpha_levels=config.alpha_levels)
+        cells = {key: (e.c1, e.c2, e.hurst) for key, e in results.items()}
+        table, dropped = _group_table(dataset.subjects, dataset.taxonomy,
+                                      cells)
+        summary = battery = None
+        if table is not None:
+            summary = aggregate(table)
+            battery = run_battery(table, alpha_levels=config.alpha_levels)
 
-    provenance = {
-        "config_sha256": config.sha256(),
-        "seed": config.seed,
-        "version": __version__,
-        "n_series": len(results) + len(failures),
-        "n_failures": len(failures),
-    }
-    report = AnalysisReport(
-        results=results, failures=failures, table=table, summary=summary,
-        battery=battery, provenance=provenance, dropped_subjects=dropped,
-        output_dir=config.output_dir,
-    )
-    _write_report(config, report)
+        provenance = {
+            "config_sha256": config.sha256(),
+            "seed": config.seed,
+            "version": __version__,
+            "n_series": len(results) + len(failures),
+            "n_failures": len(failures),
+        }
+        report = AnalysisReport(
+            results=results, failures=failures, table=table,
+            summary=summary, battery=battery, provenance=provenance,
+            dropped_subjects=dropped, output_dir=config.output_dir,
+        )
+        _write_report(config, report, paths)
     return report
+
+
+@contextmanager
+def _published(out: Path, names):
+    """{name: path} under which to write each output file: a ".partial"
+    name in out.  A clean exit renames every file onto its name; if the
+    block raises, the partial files are removed.  A failed run thus leaves
+    an earlier run's outputs whole, never mixed with its own."""
+    paths = {name: out / f"{name}.partial" for name in names}
+    try:
+        yield paths
+    except BaseException:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        raise
+    for name, path in paths.items():
+        os.replace(path, out / name)
 
 
 def _run_tasks(config: AnalysisConfig, dataset: Dataset,
@@ -634,16 +649,16 @@ def _run_tasks(config: AnalysisConfig, dataset: Dataset,
 
 
 def _analyze_runs(config: AnalysisConfig, dataset: Dataset,
-                  wavelet: MotherWavelet, out: Path) -> tuple:
+                  wavelet: MotherWavelet, paths: dict) -> tuple:
     """(results, failures) of every run.  estimates.csv, spectra.csv and
-    dh_curves.csv are written as each subject's runs come back, in
-    (subject, map, state) order, and their text is then dropped."""
+    dh_curves.csv (at paths[name]) are written as each subject's runs come
+    back, in (subject, map, state) order, and their text is then dropped."""
     tasks = _run_tasks(config, dataset, wavelet)
     results = {}
     failures = {}
     with ExitStack() as stack:
         files = [stack.enter_context(
-                     open(out / name, "w", newline="\n", encoding="utf-8"))
+                     open(paths[name], "w", newline="\n", encoding="utf-8"))
                  for name in _SERIES_FILES]
         for fh, header in zip(files, _SERIES_FILES.values()):
             fh.write(header)
@@ -707,6 +722,8 @@ _SERIES_FILES = {
                    "fitted_log2_power\n",
     "dh_curves.csv": "subject,map,state,h,d\n",
 }
+# The files written after the battery, by _write_report.
+_REPORT_FILES = ("pvalues.csv", "group_report.json", "config_resolved.json")
 
 
 def _series_text(key, e: MfEstimate | None, error: str | None,
@@ -730,10 +747,11 @@ def _series_text(key, e: MfEstimate | None, error: str | None,
     return row, spectra, dh
 
 
-def _write_report(config: AnalysisConfig, report: AnalysisReport) -> None:
-    """pvalues.csv, group_report.json and config_resolved.json."""
-    out = Path(config.output_dir)
-    with _csv_writer(out / "pvalues.csv", [
+def _write_report(config: AnalysisConfig, report: AnalysisReport,
+                  paths: dict) -> None:
+    """pvalues.csv, group_report.json and config_resolved.json, each at
+    paths[name]."""
+    with _csv_writer(paths["pvalues.csv"], [
             "level", "map", "parameter", "test", "statistic", "p",
             "p_corrected"]) as w:
         if report.battery is not None:
@@ -750,11 +768,11 @@ def _write_report(config: AnalysisConfig, report: AnalysisReport) -> None:
         "battery": (report.battery.to_json_dict()
                     if report.battery is not None else None),
     }
-    with open(out / "group_report.json", "w", newline="\n",
+    with open(paths["group_report.json"], "w", newline="\n",
               encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    with open(out / "config_resolved.json", "w", newline="\n",
+    with open(paths["config_resolved.json"], "w", newline="\n",
               encoding="utf-8") as fh:
         fh.write(config.canonical_json())
         fh.write("\n")

@@ -96,9 +96,13 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     """Averaged windowed periodogram, one-sided, density scaling.
 
     The integral of the returned PSD over frequency approximates the
-    signal variance (segments are mean-detrended).  Power and frequencies
-    equal scipy.signal.welch's bitwise (detrend="constant", the DC bin
-    dropped): its operations run in its order, on all segments at once.
+    signal variance (segments are mean-detrended).  The operations are
+    those of scipy.signal.welch in scipy 1.17 (built on ShortTimeFFT), in
+    its order, on all segments at once: with scipy >= 1.17 power and
+    frequencies equal its output bitwise (detrend="constant", the DC bin
+    dropped).  Older scipy's welch scales the power after the FFT and
+    averages another memory layout; its frequencies are the same and its
+    power agrees to about 1e-14 relative.
 
     Raises:
         EstimationError: if the segmentation yields fewer than 2 segments.
@@ -124,9 +128,10 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
             f"only {n_segments} segment(s) of length {segment_length}; "
             "shorten segments or provide more data"
         )
-    # Bitwise equality with scipy needs its exact operations: the builtin
-    # sum in the window norm, and the average over segments taken along
-    # contiguous memory (numpy sums a strided axis in another order).
+    # Bitwise equality with scipy 1.17's welch needs its exact operations:
+    # the builtin sum in the window norm, and the average over segments
+    # taken along contiguous memory (numpy sums a strided axis in another
+    # order).
     fs = signal.sampling_rate
     win = get_window("hann" if window == "hann" else "boxcar", segment_length)
     win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))

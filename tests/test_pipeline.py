@@ -395,7 +395,7 @@ class TestRunFullAnalysis:
                                 for st in ("rest", "task")}
         for (subject, state), run in ds.runs.items():
             matrix = run.matrix(cfg)
-            assert run.shape == matrix.shape == (1024, len(classes))
+            assert matrix.shape == (1024, len(classes))
             s_idx = ds.subjects.index(subject)
             j = ("rest", "task").index(state)
             for k, cls in enumerate(classes):
@@ -415,6 +415,37 @@ class TestRunFullAnalysis:
             (s, st) for s in ds.subjects for st in ("rest", "task")]
         assert all(isinstance(task[1], pipeline.SyntheticRun)
                    for task in tasks)
+
+    def test_failed_run_leaves_earlier_outputs_whole(self, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "out"
+        run_full_analysis(AnalysisConfig(synthetic=SMALL_SYNTH, seed=4,
+                                         output_dir=str(out)))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        per_subject = 2 * 6  # two runs of six maps
+        calls = []
+        analyze = pipeline.analyze_series
+
+        def die_in_second_subject(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > per_subject:
+                raise RuntimeError("analysis died")
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "analyze_series", die_in_second_subject)
+        with pytest.raises(RuntimeError, match="analysis died"):
+            run_full_analysis(AnalysisConfig(synthetic=SMALL_SYNTH, seed=5,
+                                             output_dir=str(out)))
+        # the first subject's rows were streamed before the failure
+        assert len(calls) == per_subject + 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_synthetic_study_needs_subjects(self, tmp_path):
+        cfg = AnalysisConfig(synthetic={"subjects": 0},
+                             output_dir=str(tmp_path / "out"))
+        with pytest.raises(ParameterError, match="no subjects"):
+            run_full_analysis(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_file_study_streams_in_subject_order(self, tmp_path):
         ids = ["b", "a", "c"]

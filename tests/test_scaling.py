@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
@@ -14,6 +15,14 @@ from scalefree.scaling import (ScalingFit, SpectrumEstimate,
                                welch_psd, wavelet_spectrum)
 from scalefree.synth import GeneratorSpec, gen_fgn
 from scalefree.wavelet import Signal, dwt
+
+
+# welch_psd repeats the operations of scipy 1.17's welch, which is built on
+# ShortTimeFFT, so from that version on the two are equal bitwise.  Older
+# welch scales the power after the FFT and averages another memory layout,
+# which rounds differently: about 1e-14 relative at worst.
+SCIPY_WELCH_BITWISE = tuple(
+    int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 17)
 
 
 class TestScaleToFrequency:
@@ -156,7 +165,10 @@ class TestWelch:
             noverlap=int(overlap * segment_length), detrend="constant",
             scaling="density", return_onesided=True)
         assert np.array_equal(spec.frequencies, freqs[1:])
-        assert np.array_equal(spec.power, power[1:])
+        if SCIPY_WELCH_BITWISE:
+            assert np.array_equal(spec.power, power[1:])
+        else:
+            np.testing.assert_allclose(spec.power, power[1:], rtol=1e-12)
 
     def test_default_segment_length(self):
         assert default_segment_length(4096) == 512
