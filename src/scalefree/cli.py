@@ -15,17 +15,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError, ScaleFreeError
 from .grouptests import run_battery
-from .pipeline import (AnalysisConfig, _csv_rows, _csv_writer, _fmt,
-                       _parse_cell, _spectrum_rows, load_estimates_csv,
-                       load_taxonomy, run_full_analysis)
+from .pipeline import (AnalysisConfig, _csv_rows, _parse_cell, _spectrum_rows,
+                       load_estimates_csv, load_taxonomy, run_full_analysis)
 from .scaling import fit_psd_powerlaw, scale_to_frequency, welch_psd
 from .synth import GeneratorSpec, generate
 from .wavelet import Signal, build_wavelet, dwt
+
+
+def _write(path, text: str) -> None:
+    """text as the new UTF-8 file at path, lines ending in \\n."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -44,9 +49,9 @@ def _cmd_synth(args) -> int:
         sampling_rate=args.rate,
     )
     signal = generate(spec)
-    with _csv_writer(args.out, ["t", "value"]) as w:
-        for k, v in enumerate(signal.samples):
-            w.writerow([_fmt(k / args.rate), _fmt(v)])
+    _write(args.out, "t,value\n" + "".join([
+        "%.17g,%.17g\n" % (k / args.rate, v)
+        for k, v in enumerate(signal.samples.tolist())]))
     print(f"wrote {args.length} samples to {args.out}")
     return 0
 
@@ -89,10 +94,8 @@ def _cmd_spectrum(args) -> int:
     else:
         pyramid = dwt(signal, build_wavelet(args.vanishing), args.j2)
         _, rows = _spectrum_rows(pyramid, args.j1, args.j2)
-    with _csv_writer(args.out,
-                     ["octave_or_freq", "log2_value", "fitted_value"]) as w:
-        for a, b, c in rows:
-            w.writerow([_fmt(a), _fmt(b), _fmt(c)])
+    _write(args.out, "octave_or_freq,log2_value,fitted_value\n"
+           + "".join(["%.17g,%.17g,%.17g\n" % row for row in rows]))
     print(f"wrote {len(rows)} spectrum rows to {args.out}")
     return 0
 
@@ -101,9 +104,8 @@ def _cmd_battery(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     table = load_estimates_csv(args.estimates, taxonomy)
     battery = run_battery(table, alpha_levels=tuple(args.alpha))
-    with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(battery.to_json_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write(args.out,
+           json.dumps(battery.to_json_dict(), sort_keys=True, indent=1) + "\n")
     print(f"wrote battery report ({table.n_subjects} subjects, "
           f"{table.n_maps} maps) to {args.out}")
     return 0

@@ -32,10 +32,10 @@ from .errors import (DataFormatError, EstimationError, ParameterError,
                      ScaleFreeError, ScaleRangeError)
 from .grouptests import (PARAMS, STATES, BatteryReport, GroupSummary,
                          GroupTable, MapTaxonomy, aggregate, run_battery)
-from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate,
+from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate, _check_gamma,
                          _require_cumulant_counts, compute_leaders,
                          multifractal_estimate)
-from .scaling import (estimate_hurst, fit_loglog, fit_psd_powerlaw,
+from .scaling import (WINDOWS, estimate_hurst, fit_loglog, fit_psd_powerlaw,
                       scale_to_frequency, welch_psd, wavelet_spectrum)
 from .synth import GeneratorSpec, gen_fgn, gen_mrw
 from .wavelet import (MotherWavelet, Signal, build_wavelet, dwt,
@@ -52,15 +52,6 @@ DEFAULT_SYNTHETIC = {
 
 NETWORK_CYCLE = ("Att", "DMN", "Mot", "N-c", "Vis")
 ARTIFACT_CYCLE = ("Ven", "WhM", "Mov", "Oth")
-
-
-def _fmt(x) -> str:
-    """17 significant digits, so every float round-trips exactly."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    return "%.17g" % float(x)
 
 
 def _fits(value, hint) -> bool:
@@ -134,10 +125,28 @@ class AnalysisConfig:
             raise ParameterError(f"p_max {self.p_max} outside 2..{MAX_P}")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
+        try:  # select_gamma's own rule on the three gamma values
+            _check_gamma(self.gamma_mode, self.gamma_value, self.gamma_eps)
+        except ParameterError as exc:
+            raise ParameterError(f"config key gamma: {exc}") from None
+        if self.welch_window not in WINDOWS:
+            raise ParameterError(f"config key welch.window: "
+                                 f"{self.welch_window!r} not one of {WINDOWS}")
+        if not 0.0 <= self.welch_overlap < 1.0:
+            raise ParameterError(f"config key welch.overlap_fraction: "
+                                 f"{self.welch_overlap} outside [0, 1)")
+        if len(self.q_grid) == 0:
+            raise ParameterError("config key q_grid: must not be empty")
+        if not self.sampling_rate > 0:
+            raise ParameterError(
+                f"config key sampling_rate: {self.sampling_rate} must be > 0")
         if (self.inputs is None) == (self.synthetic is None):
             raise ParameterError(
                 "config must set exactly one of 'inputs' and 'synthetic'"
             )
+        if self.synthetic is not None and self.seed < 0:
+            raise ParameterError(
+                f"config key seed: {self.seed} must be >= 0 for a synthetic study")
         if self.synthetic is not None:
             object.__setattr__(self, "synthetic",
                                _resolve_synthetic(self.synthetic))
@@ -241,7 +250,6 @@ class Dataset:
     subjects: tuple
     runs: dict
     taxonomy: MapTaxonomy
-    sampling_rate: float
 
 
 @contextmanager
@@ -360,8 +368,7 @@ def load_dataset(config: AnalysisConfig) -> Dataset:
             runs[(sid, state)] = matrix
     if not subjects:
         raise DataFormatError("inputs.subjects is empty")
-    return Dataset(subjects=tuple(subjects), runs=runs, taxonomy=taxonomy,
-                   sampling_rate=config.sampling_rate)
+    return Dataset(subjects=tuple(subjects), runs=runs, taxonomy=taxonomy)
 
 
 def project_onto_maps(data: np.ndarray, maps: np.ndarray,
@@ -420,7 +427,7 @@ def analyze_series(signal: Signal, config: AnalysisConfig,
             pyramid, j1, j2, q_grid=config.q_grid,
             gamma_mode=config.gamma_mode, gamma_value=config.gamma_value,
             gamma_eps=config.gamma_eps, p_max=config.p_max,
-            reference_shift=shift, label=signal.label,
+            reference_shift=shift,
         )
         diagnostics = dict(estimate.diagnostics)
         diagnostics["spectrum_fit"] = fit
@@ -528,7 +535,7 @@ def _leader_spans(n: int, n_vanishing: int) -> tuple:
     wavelet = build_wavelet(n_vanishing)
     pyramid = dwt(Signal(np.zeros(n), 1.0), wavelet,
                   max_feasible_octave(n, wavelet))
-    leaders = compute_leaders(pyramid, 0.0, h_min=0.0)
+    leaders = compute_leaders(pyramid, 0.0)
     spans = [b - a for a, b in zip(leaders.valid_start, leaders.valid_stop)]
     return tuple(spans) + (0,) * (pyramid.max_octave - leaders.max_octave)
 
@@ -569,8 +576,7 @@ def _build_dataset(config: AnalysisConfig) -> Dataset:
     runs = {(subject, state): SyntheticRun(s_idx, j, taxonomy.classes)
             for s_idx, subject in enumerate(subjects)
             for j, state in enumerate(STATES)}
-    return Dataset(subjects=subjects, runs=runs, taxonomy=taxonomy,
-                   sampling_rate=config.sampling_rate)
+    return Dataset(subjects=subjects, runs=runs, taxonomy=taxonomy)
 
 
 def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
@@ -593,10 +599,8 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     for n in sorted(lengths):
         _require_feasible(n, config, wavelet)
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with _published(out, [*_SERIES_FILES, *_REPORT_FILES]) as paths:
-        results, failures = _analyze_runs(config, dataset, wavelet, paths)
+    with _published(Path(config.output_dir)) as files:
+        results, failures = _analyze_runs(config, dataset, wavelet, files)
 
         cells = {key: (e.c1, e.c2, e.hurst) for key, e in results.items()}
         table, dropped = _group_table(dataset.subjects, dataset.taxonomy,
@@ -618,19 +622,41 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
             summary=summary, battery=battery, provenance=provenance,
             dropped_subjects=dropped, output_dir=config.output_dir,
         )
-        _write_report(config, report, paths)
+        _write_report(config, report, files)
     return report
 
 
+# Every output file and its header (none for JSON): the per-series files
+# first, in the order of _series_text's blocks.
+_OUTPUTS = {
+    "estimates.csv": "subject,map,state,status,beta,welch_beta,hurst,"
+                     "stationary,h_min,gamma,reference_shift,c1,c2,error\n",
+    "spectra.csv": "subject,map,state,octave,frequency_hz,log2_power,"
+                   "fitted_log2_power\n",
+    "dh_curves.csv": "subject,map,state,h,d\n",
+    "pvalues.csv": "level,map,parameter,test,statistic,p,p_corrected\n",
+    "group_report.json": "",
+    "config_resolved.json": "",
+}
+
+
 @contextmanager
-def _published(out: Path, names):
-    """{name: path} under which to write each output file: a ".partial"
-    name in out.  A clean exit renames every file onto its name; if the
-    block raises, the partial files are removed.  A failed run thus leaves
-    an earlier run's outputs whole, never mixed with its own."""
-    paths = {name: out / f"{name}.partial" for name in names}
+def _published(out: Path):
+    """{name: file} of every output in _OUTPUTS, each open on a ".partial"
+    name in out with its header written.  A clean exit renames every file
+    onto its name; if the block raises, the partial files are removed.  A
+    failed run thus leaves an earlier run's outputs whole, never mixed
+    with its own."""
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {name: out / f"{name}.partial" for name in _OUTPUTS}
     try:
-        yield paths
+        with ExitStack() as stack:
+            files = {name: stack.enter_context(
+                         open(path, "w", newline="\n", encoding="utf-8"))
+                     for name, path in paths.items()}
+            for name, header in _OUTPUTS.items():
+                files[name].write(header)
+            yield files
     except BaseException:
         for path in paths.values():
             path.unlink(missing_ok=True)
@@ -649,19 +675,15 @@ def _run_tasks(config: AnalysisConfig, dataset: Dataset,
 
 
 def _analyze_runs(config: AnalysisConfig, dataset: Dataset,
-                  wavelet: MotherWavelet, paths: dict) -> tuple:
-    """(results, failures) of every run.  estimates.csv, spectra.csv and
-    dh_curves.csv (at paths[name]) are written as each subject's runs come
-    back, in (subject, map, state) order, and their text is then dropped."""
+                  wavelet: MotherWavelet, files: dict) -> tuple:
+    """(results, failures) of every run.  The rows of estimates.csv,
+    spectra.csv and dh_curves.csv (files[name]) are written as each
+    subject's runs come back, in (subject, map, state) order, and their
+    text is then dropped."""
     tasks = _run_tasks(config, dataset, wavelet)
     results = {}
     failures = {}
     with ExitStack() as stack:
-        files = [stack.enter_context(
-                     open(paths[name], "w", newline="\n", encoding="utf-8"))
-                 for name in _SERIES_FILES]
-        for fh, header in zip(files, _SERIES_FILES.values()):
-            fh.write(header)
         workers = _pool_size(config.workers, len(tasks))
         if workers == 1:
             batches = map(_run_one, tasks)
@@ -676,7 +698,7 @@ def _analyze_runs(config: AnalysisConfig, dataset: Dataset,
                         results[key] = estimate
                     else:
                         failures[key] = error
-                    for fh, block in zip(files, text):
+                    for fh, block in zip(files.values(), text):
                         fh.write(block)
     return results, failures
 
@@ -696,15 +718,6 @@ def _group_table(subjects, taxonomy: MapTaxonomy, cells: dict) -> tuple:
                       subjects=tuple(complete)), dropped
 
 
-@contextmanager
-def _csv_writer(path, header):
-    """CSV writer on a new UTF-8 file with \\n line ends; header written."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        yield writer
-
-
 def _csv_line(fields) -> str:
     """fields as one CSV row, quoted by csv rules, ending in \\n."""
     buf = io.StringIO()
@@ -712,32 +725,17 @@ def _csv_line(fields) -> str:
     return buf.getvalue()
 
 
-# The per-series files and their headers, in the order of _series_text.
-_SERIES_FILES = {
-    "estimates.csv": _csv_line([
-        "subject", "map", "state", "status", "beta", "welch_beta", "hurst",
-        "stationary", "h_min", "gamma", "reference_shift", "c1", "c2",
-        "error"]),
-    "spectra.csv": "subject,map,state,octave,frequency_hz,log2_power,"
-                   "fitted_log2_power\n",
-    "dh_curves.csv": "subject,map,state,h,d\n",
-}
-# The files written after the battery, by _write_report.
-_REPORT_FILES = ("pvalues.csv", "group_report.json", "config_resolved.json")
-
-
 def _series_text(key, e: MfEstimate | None, error: str | None,
                  sampling_rate: float) -> tuple:
     """The estimates.csv row, spectra.csv rows and dh_curves.csv rows of
-    one series.  The last two are "%.17g" templates, as _fmt, behind the
-    key quoted once by csv rules; a failed series has only its row."""
+    one series: "%.17g" templates behind the key quoted once by csv rules.
+    A failed series has only its row, quoted whole by csv rules."""
     if e is None:
         return _csv_line([*key, "error"] + [""] * 9 + [error]), "", ""
-    row = _csv_line([
-        *key, "ok", _fmt(e.beta), _fmt(e.diagnostics.get("welch_beta")),
-        _fmt(e.hurst), _fmt(e.stationary), _fmt(e.h_min), _fmt(e.gamma),
-        str(e.reference_shift), _fmt(e.c1), _fmt(e.c2), ""])
     prefix = _csv_line(key)[:-1] + ","
+    row = "%sok,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%.17g,\n" % (
+        prefix, e.beta, e.diagnostics["welch_beta"], e.hurst, e.stationary,
+        e.h_min, e.gamma, e.reference_shift, e.c1, e.c2)
     spectra = "".join([
         "%s%d,%.17g,%.17g,%.17g\n" % (
             prefix, j, scale_to_frequency(j, sampling_rate), logp, fitted)
@@ -748,17 +746,16 @@ def _series_text(key, e: MfEstimate | None, error: str | None,
 
 
 def _write_report(config: AnalysisConfig, report: AnalysisReport,
-                  paths: dict) -> None:
-    """pvalues.csv, group_report.json and config_resolved.json, each at
-    paths[name]."""
-    with _csv_writer(paths["pvalues.csv"], [
-            "level", "map", "parameter", "test", "statistic", "p",
-            "p_corrected"]) as w:
-        if report.battery is not None:
-            for (level, unit, state, param, test, stat, p, p_corr) \
-                    in report.battery.to_rows():
-                w.writerow([f"{level}:{state}", unit, param, test,
-                            _fmt(stat), _fmt(p), _fmt(p_corr)])
+                  files: dict) -> None:
+    """The rows of pvalues.csv, group_report.json and config_resolved.json,
+    each to files[name]."""
+    if report.battery is not None:
+        files["pvalues.csv"].write("".join([
+            "%s,%.17g,%.17g,%s\n" % (
+                _csv_line([f"{level}:{state}", unit, param, test])[:-1],
+                stat, p, "" if p_corr is None else "%.17g" % p_corr)
+            for level, unit, state, param, test, stat, p, p_corr
+            in report.battery.to_rows()]))
 
     doc = {
         "provenance": report.provenance,
@@ -768,14 +765,9 @@ def _write_report(config: AnalysisConfig, report: AnalysisReport,
         "battery": (report.battery.to_json_dict()
                     if report.battery is not None else None),
     }
-    with open(paths["group_report.json"], "w", newline="\n",
-              encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(paths["config_resolved.json"], "w", newline="\n",
-              encoding="utf-8") as fh:
-        fh.write(config.canonical_json())
-        fh.write("\n")
+    files["group_report.json"].write(
+        json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    files["config_resolved.json"].write(config.canonical_json() + "\n")
 
 
 def _by_state(block) -> dict:

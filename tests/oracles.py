@@ -149,31 +149,65 @@ def anova_by_hand(cells):
     }
 
 
-def spectra_dh_by_csv_writer(report, subjects, labels, sampling_rate):
-    """(spectra.csv, dh_curves.csv) text of a report, one csv.writer row
-    per line and "%.17g" per float cell, keys in (subject, map, state)
-    order."""
+def fmt(x):
+    """A float cell of every output: 17 significant digits, so it
+    round-trips exactly; None is empty and a bool is 1 or 0."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    return "%.17g" % float(x)
+
+
+def csv_text(header, rows):
+    """header and rows through csv.writer with \\n line ends."""
     import csv
     import io
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def csv_outputs_by_csv_writer(report, subjects, labels, sampling_rate):
+    """{name: text} of the four CSV outputs of a report, each row one
+    csv.writer row with fmt per float cell, keys in (subject, map, state)
+    order."""
     from scalefree.scaling import scale_to_frequency
 
-    def fmt(x):
-        return "%.17g" % float(x)
-
-    spectra, dh = io.StringIO(), io.StringIO()
-    ws = csv.writer(spectra, lineterminator="\n")
-    wd = csv.writer(dh, lineterminator="\n")
-    ws.writerow(["subject", "map", "state", "octave", "frequency_hz",
-                 "log2_power", "fitted_log2_power"])
-    wd.writerow(["subject", "map", "state", "h", "d"])
+    estimates, spectra, dh = [], [], []
     for key in [(s, lab, st) for s in subjects for lab in labels
                 for st in ("rest", "task")]:
         e = report.results.get(key)
         if e is None:
+            estimates.append([*key, "error"] + [""] * 9
+                             + [report.failures[key]])
             continue
+        estimates.append([
+            *key, "ok", fmt(e.beta), fmt(e.diagnostics.get("welch_beta")),
+            fmt(e.hurst), fmt(e.stationary), fmt(e.h_min), fmt(e.gamma),
+            str(e.reference_shift), fmt(e.c1), fmt(e.c2), ""])
         for j, logp, fitted in e.diagnostics["spectrum_rows"]:
-            ws.writerow([*key, str(j), fmt(scale_to_frequency(j, sampling_rate)),
-                         fmt(logp), fmt(fitted)])
+            spectra.append([*key, str(j),
+                            fmt(scale_to_frequency(j, sampling_rate)),
+                            fmt(logp), fmt(fitted)])
         for h, d in e.spectrum:
-            wd.writerow([*key, fmt(h), fmt(d)])
-    return spectra.getvalue(), dh.getvalue()
+            dh.append([*key, fmt(h), fmt(d)])
+    pvalues = [[f"{level}:{state}", unit, param, test,
+                fmt(stat), fmt(p), fmt(p_corr)]
+               for level, unit, state, param, test, stat, p, p_corr
+               in report.battery.to_rows()]
+    return {
+        "estimates.csv": csv_text(
+            ["subject", "map", "state", "status", "beta", "welch_beta",
+             "hurst", "stationary", "h_min", "gamma", "reference_shift",
+             "c1", "c2", "error"], estimates),
+        "spectra.csv": csv_text(
+            ["subject", "map", "state", "octave", "frequency_hz",
+             "log2_power", "fitted_log2_power"], spectra),
+        "dh_curves.csv": csv_text(["subject", "map", "state", "h", "d"], dh),
+        "pvalues.csv": csv_text(
+            ["level", "map", "parameter", "test", "statistic", "p",
+             "p_corrected"], pvalues),
+    }

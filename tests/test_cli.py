@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from scalefree.cli import main
+from scalefree.pipeline import _spectrum_rows
+from scalefree.scaling import (fit_psd_powerlaw, scale_to_frequency,
+                               welch_psd)
 from scalefree.synth import GeneratorSpec, gen_fgn
+from scalefree.wavelet import Signal, build_wavelet, dwt
+
+from oracles import csv_text, fmt
 
 
 def read_csv(path):
@@ -16,8 +22,8 @@ def read_csv(path):
 class TestSynthCommand:
     def test_writes_signal(self, tmp_path):
         out = tmp_path / "sig.csv"
-        code = main(["synth", "--kind", "fgn", "--hurst", "0.7",
-                     "--length", "1024", "--seed", "5", "--out", str(out)])
+        code = main(["synth", "--kind", "fgn", "--hurst", "0.7", "--length",
+                     "1024", "--seed", "5", "--rate", "2.5", "--out", str(out)])
         assert code == 0
         rows = read_csv(out)
         assert rows[0] == ["t", "value"]
@@ -25,6 +31,9 @@ class TestSynthCommand:
         ref = gen_fgn(GeneratorSpec("fgn", 0.7, 1024, seed=5)).samples
         got = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(got, ref)  # 17 digits round-trip exactly
+        expected = csv_text(["t", "value"], [[fmt(k / 2.5), fmt(v)]
+                                            for k, v in enumerate(ref)])
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_rejects_bad_length(self, tmp_path, capsys):
         code = main(["synth", "--kind", "fgn", "--hurst", "0.7",
@@ -32,6 +41,13 @@ class TestSynthCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "power of two" in capsys.readouterr().err
+
+
+def spectrum_bytes(rows):
+    """The spectrum command's file for rows, by csv.writer and fmt."""
+    return csv_text(["octave_or_freq", "log2_value", "fitted_value"],
+                    [[fmt(a), fmt(b), fmt(c)] for a, b, c in rows]
+                    ).encode("utf-8")
 
 
 class TestSpectrumCommand:
@@ -50,6 +66,10 @@ class TestSpectrumCommand:
         rows = read_csv(out)
         assert rows[0] == ["octave_or_freq", "log2_value", "fitted_value"]
         assert len(rows) == 7  # octaves 1..6
+        signal = Signal(np.array([float(r[1]) for r in read_csv(signal_csv)[1:]]),
+                        1.0)
+        _, ref = _spectrum_rows(dwt(signal, build_wavelet(3), 6), 3, 6)
+        assert out.read_bytes() == spectrum_bytes(ref)
 
     def test_welch_method(self, tmp_path, signal_csv):
         out = tmp_path / "specw.csv"
@@ -58,6 +78,14 @@ class TestSpectrumCommand:
         assert code == 0
         rows = read_csv(out)
         assert len(rows) > 10
+        signal = Signal(np.array([float(r[1]) for r in read_csv(signal_csv)[1:]]),
+                        1.0)
+        spectrum = welch_psd(signal)
+        fit = fit_psd_powerlaw(spectrum, scale_to_frequency(6, 1.0),
+                               scale_to_frequency(3, 1.0))
+        ref = [(f, np.log2(p), fit.intercept - fit.beta * np.log2(f))
+               for f, p in zip(spectrum.frequencies, spectrum.power) if p > 0]
+        assert out.read_bytes() == spectrum_bytes(ref)
 
     def test_missing_column(self, tmp_path, signal_csv, capsys):
         code = main(["spectrum", "--in", str(signal_csv), "--column", "nope",
@@ -107,6 +135,22 @@ class TestAnalyzeCommand:
             ({"synthetic": {"subjects": 3, "length": 512}, "output_dir": out},
              "largest workable j2 is 5"),
             ('{"synthetic": {}', "line 1"),
+            # values every series would reject fail before any series runs
+            ({"synthetic": {}, "gamma": {"mode": "foo"}},
+             "config key gamma: unknown gamma mode 'foo'"),
+            ({"synthetic": {}, "gamma": {"value": -1}},
+             "config key gamma: fixed gamma value must be >= 0"),
+            ({"synthetic": {}, "gamma": {"mode": "auto", "eps": 0}},
+             "config key gamma: eps=0 must be > 0"),
+            ({"synthetic": {}, "welch": {"window": "blackman"}},
+             "config key welch.window"),
+            ({"synthetic": {}, "welch": {"overlap_fraction": 1.5}},
+             "config key welch.overlap_fraction"),
+            ({"synthetic": {}, "q_grid": []}, "config key q_grid"),
+            ({"inputs": {"taxonomy": "tax.csv", "subjects": []},
+              "sampling_rate": 0}, "config key sampling_rate"),
+            ({"synthetic": {}, "sampling_rate": 0}, "config key sampling_rate"),
+            ({"synthetic": {}, "seed": -1}, "config key seed"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for cfg, named in cases:
@@ -144,6 +188,11 @@ class TestBatteryCommand:
         doc = json.loads(report_path.read_text())
         assert "one_sample" in doc
         assert doc["one_sample"]["map"]["f_1"]["rest"]["c1"]["t"]["p_corrected"] <= 1.0
+        # the taxonomy matches the synthetic one, so the battery is the
+        # analysis's own, written in the same JSON form
+        battery = json.loads((out_dir / "group_report.json").read_text())["battery"]
+        assert report_path.read_bytes() == (
+            json.dumps(battery, sort_keys=True, indent=1) + "\n").encode("utf-8")
 
     def test_bad_estimates_cell_located(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

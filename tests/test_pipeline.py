@@ -20,7 +20,7 @@ from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
 from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, dwt
 
-from oracles import spectra_dh_by_csv_writer
+from oracles import csv_outputs_by_csv_writer
 
 SMALL_SYNTH = {"subjects": 4, "length": 1024, "maps": {"F": 3, "A": 2, "U": 1}}
 
@@ -83,6 +83,11 @@ class TestConfig:
         a = AnalysisConfig(synthetic={}, output_dir="x", workers=1)
         b = AnalysisConfig(synthetic={}, output_dir="y", workers=8)
         assert a.sha256() == b.sha256()
+
+    def test_negative_seed_rejected_only_for_synthetic(self):
+        assert AnalysisConfig(inputs={"subjects": []}, seed=-1).seed == -1
+        with pytest.raises(ParameterError, match="config key seed"):
+            AnalysisConfig(synthetic={}, seed=-1)
 
     def test_gamma_json_nesting(self):
         cfg = AnalysisConfig.from_dict(
@@ -365,9 +370,15 @@ class TestRunFullAnalysis:
         assert len(error_rows) == 1 and "sub1" in error_rows[0]
 
     def test_spectra_and_dh_match_csv_writer(self, tmp_path):
+        """Every CSV output equals a csv.writer rendering with "%.17g"
+        cells, quoting ids and a network tag that hold a comma or a quote."""
         ids = ["s,1", 'q"2', "sub2", "sub3"]
         inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
                                        n=512, seed=5, ids=ids)
+        with open(inputs["taxonomy"], "w", newline="") as fh:
+            csv.writer(fh).writerows([
+                ["map_index", "class", "network_or_artifact"],
+                [1, "F", 'Net, "x"'], [2, "A", "Ven"], [3, "U", ""]])
         flatten_map(Path(inputs["subjects"][1]["task"]), 2)  # fails alone
         cfg = AnalysisConfig(inputs=inputs, octave_range=(2, 5),
                              sampling_rate=2.0, output_dir=str(tmp_path / "out"))
@@ -375,10 +386,13 @@ class TestRunFullAnalysis:
         assert list(report.failures) == [('q"2', "a_1", "task")]
 
         labels = load_taxonomy(inputs["taxonomy"]).display_labels()
-        expected = spectra_dh_by_csv_writer(report, ids, labels, 2.0)
-        for name, text in zip(("spectra.csv", "dh_curves.csv"), expected):
+        expected = csv_outputs_by_csv_writer(report, ids, labels, 2.0)
+        for name, text in expected.items():
             written = (tmp_path / "out" / name).read_bytes()
             assert written == text.encode("utf-8"), name
+        assert '"Net, ""x"""' in expected["pvalues.csv"]
+        assert ",error," in expected["estimates.csv"]
+        for name in ("spectra.csv", "dh_curves.csv"):
             with open(tmp_path / "out" / name, newline="") as fh:
                 keys = Counter(tuple(r[:3]) for r in list(csv.reader(fh))[1:])
             assert keys == {
