@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ScaleRangeError
-from .scaling import _ols_line, fit_loglog
+from .scaling import _ols_design, _ols_fit, fit_loglog
 from .wavelet import WaveletPyramid, sup_magnitudes
 
 DEFAULT_Q_GRID = (-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, -0.25, 0.0,
@@ -177,32 +177,38 @@ class StructureFunctions:
 
 def structure_functions(leaders: LeaderPyramid, q_grid) -> StructureFunctions:
     """S(j, q) = mean over valid leaders of L^q, for every octave."""
-    q = np.asarray(q_grid, dtype=np.float64)
-    if q.size == 0:
-        raise ParameterError("q_grid is empty")
-    rows = []
-    for j in range(1, leaders.max_octave + 1):
-        v = leaders.valid_values(j)
-        if v.size == 0:
-            raise ScaleRangeError(f"octave {j} has no valid leaders")
-        rows.append(np.mean(v[:, None] ** q[None, :], axis=0))
-    values = np.vstack(rows)
+    q, values = _moments(leaders, q_grid, 1, leaders.max_octave)
     return StructureFunctions(
         q_grid=q, values=values, log2_values=np.log2(values),
         gamma=leaders.gamma,
     )
 
 
-def _zeta_fits(sf: StructureFunctions, j1: int, j2: int) -> list:
-    if not 1 <= j1 < j2 <= sf.max_octave:
+def _moments(leaders: LeaderPyramid, q_grid, j1: int, j2: int) -> tuple:
+    """(q, S), S[j - j1] the row S(j, .) of octave j, for j1..j2.  Every
+    octave of the pyramid, fitted or not, must hold a valid leader."""
+    q = np.asarray(q_grid, dtype=np.float64)
+    if q.size == 0:
+        raise ParameterError("q_grid is empty")
+    valid = [leaders.valid_values(j) for j in range(1, leaders.max_octave + 1)]
+    for j, v in enumerate(valid, start=1):
+        if v.size == 0:
+            raise ScaleRangeError(f"octave {j} has no valid leaders")
+    if not 1 <= j1 <= j2 <= len(valid):
         raise ScaleRangeError(
-            f"octave range ({j1}, {j2}) outside available 1..{sf.max_octave}"
-        )
-    fits = []
-    for iq in range(sf.q_grid.size):
-        pairs = [(j, sf.values[j - 1, iq]) for j in range(j1, j2 + 1)]
-        fits.append(fit_loglog(pairs, j1, j2))
-    return fits
+            f"octave range ({j1}, {j2}) outside available 1..{len(valid)}")
+    return q, np.vstack([np.mean(v[:, None] ** q[None, :], axis=0)
+                         for v in valid[j1 - 1:j2]])
+
+
+def _zeta(q: np.ndarray, rows: np.ndarray, j1: int, j2: int,
+          offset: float) -> tuple:
+    """(fits, (q, zeta_hat) rows): one fit_loglog per q column of the S(j, q)
+    rows of octaves j1..j2, and zeta_hat = slope - offset q, offset being
+    gamma less the reference shift."""
+    fits = [fit_loglog(zip(range(j1, j2 + 1), column), j1, j2)
+            for column in rows.T]
+    return fits, np.column_stack([q, [f.slope for f in fits] - offset * q])
 
 
 def zeta_exponents(sf: StructureFunctions, j1: int, j2: int) -> np.ndarray:
@@ -211,17 +217,11 @@ def zeta_exponents(sf: StructureFunctions, j1: int, j2: int) -> np.ndarray:
     Returns an array of (q, zeta_hat) rows with
     zeta_hat(q) = zeta_hat(q, gamma) - gamma q.
     """
-    return _zeta_table(sf, _zeta_fits(sf, j1, j2))
-
-
-def _zeta_table(sf: StructureFunctions, fits: list,
-                reference_shift: int = 0) -> np.ndarray:
-    """(q, zeta_hat) rows from the per-q fits: slope - (gamma - shift) q."""
-    out = np.empty((sf.q_grid.size, 2))
-    out[:, 0] = sf.q_grid
-    out[:, 1] = ([f.slope for f in fits]
-                 - (sf.gamma - reference_shift) * sf.q_grid)
-    return out
+    if not 1 <= j1 < j2 <= sf.max_octave:
+        raise ScaleRangeError(
+            f"octave range ({j1}, {j2}) outside available 1..{sf.max_octave}"
+        )
+    return _zeta(sf.q_grid, sf.values[j1 - 1:j2], j1, j2, sf.gamma)[1]
 
 
 def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
@@ -251,10 +251,11 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
                     for v in valid])  # (n_octaves, p_max)
 
     x = np.array(octaves, dtype=np.float64) * math.log(2.0)
+    design = _ols_design(x, None)
     c_p = np.empty(p_max)
     r2 = np.empty(p_max)
     for p in range(p_max):
-        slope, _, _, rsq = _ols_line(x, cum[:, p], None)
+        slope, _, _, rsq = _ols_fit(design, cum[:, p])
         c_p[p] = slope
         r2[p] = rsq
     c_p[0] -= leaders.gamma
@@ -378,9 +379,8 @@ def multifractal_estimate(pyramid: WaveletPyramid, j1: int, j2: int,
     h_min = global_regularity(pyramid, j1, j2)
     gamma = select_gamma(h_min, mode=gamma_mode, value=gamma_value, eps=gamma_eps)
     leaders = compute_leaders(pyramid, gamma)
-    sf = structure_functions(leaders, q_grid)
-    fits = _zeta_fits(sf, j1, j2)
-    zeta = _zeta_table(sf, fits, reference_shift)
+    q, rows = _moments(leaders, q_grid, j1, j2)
+    fits, zeta = _zeta(q, rows, j1, j2, leaders.gamma - reference_shift)
     c_p, cum_diag = log_cumulants(leaders, p_max, j1, j2)
     c_p = c_p.copy()
     c_p[0] += reference_shift

@@ -132,6 +132,10 @@ class AnalysisConfig:
         if self.welch_window not in WINDOWS:
             raise ParameterError(f"config key welch.window: "
                                  f"{self.welch_window!r} not one of {WINDOWS}")
+        segment = self.welch_segment_length
+        if segment is not None and segment < 2:
+            raise ParameterError(
+                f"config key welch.segment_length: {segment} must be >= 2")
         if not 0.0 <= self.welch_overlap < 1.0:
             raise ParameterError(f"config key welch.overlap_fraction: "
                                  f"{self.welch_overlap} outside [0, 1)")
@@ -542,9 +546,12 @@ def _leader_spans(n: int, n_vanishing: int) -> tuple:
 
 def _require_feasible(n: int, config: AnalysisConfig,
                       wavelet: MotherWavelet) -> None:
-    """The feasibility rule for series of n samples: octave j2 fits, and
-    every octave in range keeps enough leaders for sample cumulants."""
+    """The feasibility rule for n samples: octave j2 and a set Welch segment
+    fit, and every octave in range keeps enough leaders for cumulants."""
     j1, j2 = config.octave_range
+    if (config.welch_segment_length or 0) > n:
+        raise ParameterError(f"config key welch.segment_length: "
+                             f"{config.welch_segment_length} exceeds {n} samples")
     feasible = max_feasible_octave(n, wavelet)
     if j2 > feasible:
         raise ScaleRangeError(
@@ -732,16 +739,16 @@ def _series_text(key, e: MfEstimate | None, error: str | None,
     A failed series has only its row, quoted whole by csv rules."""
     if e is None:
         return _csv_line([*key, "error"] + [""] * 9 + [error]), "", ""
-    prefix = _csv_line(key)[:-1] + ","
-    row = "%sok,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%.17g,\n" % (
-        prefix, e.beta, e.diagnostics["welch_beta"], e.hurst, e.stationary,
+    prefix = _csv_line(key)[:-1].replace("%", "%%") + ","  # "%" in an id is text
+    row = (prefix + "ok,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%.17g,\n") % (
+        e.beta, e.diagnostics["welch_beta"], e.hurst, e.stationary,
         e.h_min, e.gamma, e.reference_shift, e.c1, e.c2)
-    spectra = "".join([
-        "%s%d,%.17g,%.17g,%.17g\n" % (
-            prefix, j, scale_to_frequency(j, sampling_rate), logp, fitted)
-        for j, logp, fitted in e.diagnostics["spectrum_rows"]])
-    dh = "".join(["%s%.17g,%.17g\n" % (prefix, h, d)
-                  for h, d in e.spectrum.tolist()])
+    rows = e.diagnostics["spectrum_rows"]
+    spectra = (prefix + "%d,%.17g,%.17g,%.17g\n") * len(rows) % tuple(
+        v for j, logp, fitted in rows
+        for v in (j, scale_to_frequency(j, sampling_rate), logp, fitted))
+    dh = (prefix + "%.17g,%.17g\n") * len(e.spectrum) % tuple(
+        e.spectrum.ravel().tolist())
     return row, spectra, dh
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -111,10 +112,9 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     n = x.size
     if segment_length is None:
         segment_length = default_segment_length(n)
-    if segment_length > n:
+    if not 2 <= segment_length <= n:
         raise ParameterError(
-            f"segment_length={segment_length} exceeds signal length {n}"
-        )
+            f"segment_length={segment_length} outside 2..{n} (signal length)")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ParameterError(f"overlap_fraction={overlap_fraction} outside [0, 1)")
     if window not in WINDOWS:
@@ -133,8 +133,7 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     # taken along contiguous memory (numpy sums a strided axis in another
     # order).
     fs = signal.sampling_rate
-    win = get_window("hann" if window == "hann" else "boxcar", segment_length)
-    win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
+    win = _psd_window(window, segment_length, fs)
     segments = sliding_window_view(x, segment_length)[::step][:n_segments]
     segments = segments - np.mean(segments, axis=-1, keepdims=True)
     spectra = sp_fft.rfft(segments * win, axis=-1)
@@ -143,6 +142,15 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     power = np.ascontiguousarray(power.T).mean(axis=-1)
     freqs = sp_fft.rfftfreq(segment_length, 1 / fs)
     return SpectrumEstimate(frequencies=freqs[1:], power=power[1:], method="welch")
+
+
+@lru_cache(maxsize=8)
+def _psd_window(window: str, segment_length: int, fs: float) -> np.ndarray:
+    """The window scaled for PSD density at rate fs, read-only."""
+    win = get_window("hann" if window == "hann" else "boxcar", segment_length)
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
+    win.setflags(write=False)
+    return win
 
 
 def scale_to_frequency(octave: int, sampling_rate: float) -> float:
@@ -178,16 +186,33 @@ def wavelet_spectrum(pyramid: WaveletPyramid) -> SpectrumEstimate:
     )
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None):
+def _ols_design(x: np.ndarray, weights: np.ndarray | None) -> tuple:
+    """(x, w, xbar, x - xbar, sxx): what OLS fits on abscissa x share."""
     if weights is None:
         weights = np.ones_like(x)
     w = weights / weights.sum()
     xbar = float(np.dot(w, x))
-    ybar = float(np.dot(w, y))
-    sxx = float(np.dot(w, (x - xbar) ** 2))
+    dx = x - xbar
+    sxx = float(np.dot(w, dx ** 2))
     if sxx == 0.0:
         raise ParameterError("degenerate abscissa: all octaves identical")
-    slope = float(np.dot(w, (x - xbar) * (y - ybar))) / sxx
+    return x, w, xbar, dx, sxx
+
+
+@lru_cache(maxsize=16)
+def _octave_design(j1: int, j2: int) -> tuple:
+    """The unweighted design of octaves j1..j2, arrays read-only."""
+    design = _ols_design(np.arange(j1, j2 + 1, dtype=np.float64), None)
+    for a in (design[0], design[1], design[3]):  # x, w, x - xbar
+        a.setflags(write=False)
+    return design
+
+
+def _ols_fit(design: tuple, y: np.ndarray):
+    """(slope, intercept, stderr of the slope, r^2) of y on a design."""
+    x, w, xbar, dx, sxx = design
+    ybar = float(np.dot(w, y))
+    slope = float(np.dot(w, dx * (y - ybar))) / sxx
     intercept = ybar - slope * xbar
     resid = y - (intercept + slope * x)
     n = x.size
@@ -199,6 +224,10 @@ def _ols_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None):
     else:
         stderr = float("nan")
     return slope, intercept, stderr, r_squared
+
+
+def _ols_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None):
+    return _ols_fit(_ols_design(x, weights), y)
 
 
 def fit_loglog(points, j1: int, j2: int,
@@ -228,9 +257,9 @@ def fit_loglog(points, j1: int, j2: int,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != octs.shape or np.any(weights <= 0):
             raise ParameterError("weights must be positive and aligned with j1..j2")
-    slope, intercept, stderr, r2 = _ols_line(
-        octs.astype(np.float64), np.log2(vals), weights
-    )
+    design = (_octave_design(j1, j2) if weights is None
+              else _ols_design(octs.astype(np.float64), weights))
+    slope, intercept, stderr, r2 = _ols_fit(design, np.log2(vals))
     return ScalingFit(
         slope=slope, intercept=intercept, stderr_slope=stderr,
         octave_range=(j1, j2), r_squared=r2, n_points=octs.size,

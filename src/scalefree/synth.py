@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,13 +64,6 @@ class GeneratorSpec:
                 )
 
 
-def _require_power_of_two(n: int) -> None:
-    if n & (n - 1):
-        raise ParameterError(
-            f"length={n} is not a power of two (circulant embedding requirement)"
-        )
-
-
 def _fgn_autocovariance(hurst: float, lags: np.ndarray) -> np.ndarray:
     k = lags.astype(np.float64)
     two_h = 2.0 * hurst
@@ -78,15 +72,16 @@ def _fgn_autocovariance(hurst: float, lags: np.ndarray) -> np.ndarray:
     )
 
 
-def _circulant_gaussian(cov_row: np.ndarray, rng: np.random.Generator,
-                        clip_tol: float | None) -> np.ndarray:
-    """Exact stationary Gaussian sample via circulant embedding.
-
-    cov_row holds the autocovariance at lags 0..n.  When clip_tol is None the
+def _circulant_root(cov_row: np.ndarray, clip_tol: float | None) -> np.ndarray:
+    """Read-only square roots of the eigenvalues of the circulant embedding
+    of cov_row, the autocovariance at lags 0..n.  When clip_tol is None the
     embedding must be positive semidefinite; otherwise negative eigenvalues
     are clipped at zero and their energy fraction asserted below clip_tol.
     """
     n = cov_row.size - 1
+    if n & (n - 1):
+        raise ParameterError(
+            f"length={n} is not a power of two (circulant embedding requirement)")
     circ = np.concatenate([cov_row, cov_row[-2:0:-1]])  # length 2n
     eigs = np.fft.fft(circ).real
     if clip_tol is None:
@@ -94,7 +89,6 @@ def _circulant_gaussian(cov_row: np.ndarray, rng: np.random.Generator,
             raise AssertionError(
                 f"circulant embedding not positive semidefinite (min eig {eigs.min()})"
             )
-        eigs = np.maximum(eigs, 0.0)
     else:
         neg = -eigs[eigs < 0.0].sum()
         total = np.abs(eigs).sum()
@@ -102,8 +96,29 @@ def _circulant_gaussian(cov_row: np.ndarray, rng: np.random.Generator,
             raise AssertionError(
                 f"clipped eigenvalue energy {neg / total:.3e} exceeds {clip_tol:.1e}"
             )
-        eigs = np.maximum(eigs, 0.0)
+    root = np.sqrt(np.maximum(eigs, 0.0))
+    root.setflags(write=False)
+    return root
 
+
+@lru_cache(maxsize=16)  # a study draws many seeds from few parameter sets
+def _fgn_root(hurst: float, length: int) -> np.ndarray:
+    return _circulant_root(
+        _fgn_autocovariance(hurst, np.arange(length + 1)), clip_tol=None)
+
+
+@lru_cache(maxsize=16)
+def _omega_root(lambda2: float, scale: int, length: int) -> np.ndarray:
+    lags = np.arange(length + 1, dtype=np.float64)
+    cov = np.zeros(length + 1)
+    inside = lags < scale
+    cov[inside] = lambda2 * np.log(scale / (lags[inside] + 1.0))
+    return _circulant_root(cov, clip_tol=1e-6)
+
+
+def _circulant_draw(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact stationary Gaussian sample from the root of its embedding."""
+    n = root.size // 2
     z_re = rng.standard_normal(n + 1)
     z_im = rng.standard_normal(n + 1)
     z = np.empty(2 * n, dtype=np.complex128)
@@ -112,13 +127,8 @@ def _circulant_gaussian(cov_row: np.ndarray, rng: np.random.Generator,
     half = (z_re[1:n] + 1j * z_im[1:n]) / math.sqrt(2.0)
     z[1:n] = half
     z[n + 1:] = np.conj(half[::-1])
-    sample = np.fft.ifft(np.sqrt(eigs) * z) * math.sqrt(2 * n)
+    sample = np.fft.ifft(root * z) * math.sqrt(2 * n)
     return sample.real[:n]
-
-
-def _fgn_samples(hurst: float, length: int, rng: np.random.Generator) -> np.ndarray:
-    cov = _fgn_autocovariance(hurst, np.arange(length + 1))
-    return _circulant_gaussian(cov, rng, clip_tol=None)
 
 
 def gen_fgn(spec: GeneratorSpec) -> Signal:
@@ -131,9 +141,8 @@ def gen_fgn(spec: GeneratorSpec) -> Signal:
     """
     if spec.kind != "fgn":
         raise ParameterError(f"gen_fgn called with kind={spec.kind!r}")
-    _require_power_of_two(spec.length)
     rng = np.random.default_rng(spec.seed)
-    samples = _fgn_samples(spec.hurst, spec.length, rng)
+    samples = _circulant_draw(_fgn_root(spec.hurst, spec.length), rng)
     return Signal(samples, spec.sampling_rate,
                   label=f"fgn(H={spec.hurst},seed={spec.seed})")
 
@@ -146,9 +155,9 @@ def gen_fbm(spec: GeneratorSpec) -> Signal:
     """
     if spec.kind != "fbm":
         raise ParameterError(f"gen_fbm called with kind={spec.kind!r}")
-    _require_power_of_two(spec.length)
     rng = np.random.default_rng(spec.seed)
-    samples = np.cumsum(_fgn_samples(spec.hurst, spec.length, rng))
+    root = _fgn_root(spec.hurst, spec.length)
+    samples = np.cumsum(_circulant_draw(root, rng))
     return Signal(samples, spec.sampling_rate,
                   label=f"fbm(H={spec.hurst},seed={spec.seed})")
 
@@ -165,19 +174,14 @@ def gen_mrw(spec: GeneratorSpec) -> Signal:
     """
     if spec.kind != "mrw":
         raise ParameterError(f"gen_mrw called with kind={spec.kind!r}")
-    _require_power_of_two(spec.length)
     n = spec.length
     scale = n if spec.integral_scale is None else spec.integral_scale
 
     rng_eps = np.random.default_rng(spec.seed)
-    eps = _fgn_samples(spec.hurst, n, rng_eps)
+    eps = _circulant_draw(_fgn_root(spec.hurst, n), rng_eps)
 
-    lags = np.arange(n + 1, dtype=np.float64)
-    cov = np.zeros(n + 1)
-    inside = lags < scale
-    cov[inside] = spec.lambda2 * np.log(scale / (lags[inside] + 1.0))
     rng_omega = np.random.default_rng([_OMEGA_STREAM_TAG, spec.seed])
-    omega = _circulant_gaussian(cov, rng_omega, clip_tol=1e-6)
+    omega = _circulant_draw(_omega_root(spec.lambda2, scale, n), rng_omega)
     omega += -0.5 * spec.lambda2 * math.log(scale)
 
     samples = np.cumsum(eps * np.exp(omega))

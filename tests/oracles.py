@@ -2,8 +2,11 @@
 
 These deliberately avoid the code paths they check: leaders by exhaustive
 interval enumeration, DWT by direct convolution, ANOVA by spelled-out sums
-of squares, WSR by full sign-pattern enumeration.
+of squares, WSR by full sign-pattern enumeration, and OLS fits and
+circulant-embedding samples in one pass with nothing shared between calls.
 """
+
+import math
 
 import numpy as np
 
@@ -211,3 +214,83 @@ def csv_outputs_by_csv_writer(report, subjects, labels, sampling_rate):
             ["level", "map", "parameter", "test", "statistic", "p",
              "p_corrected"], pvalues),
     }
+
+
+def ols_line(x, y, weights):
+    """Weighted OLS of y on x in one pass, as the library computed it before
+    the fit was split into a shared design and a per-ordinate step:
+    (slope, intercept, stderr of the slope, r^2)."""
+    from scalefree.errors import ParameterError
+    if weights is None:
+        weights = np.ones_like(x)
+    w = weights / weights.sum()
+    xbar = float(np.dot(w, x))
+    ybar = float(np.dot(w, y))
+    sxx = float(np.dot(w, (x - xbar) ** 2))
+    if sxx == 0.0:
+        raise ParameterError("degenerate abscissa: all octaves identical")
+    slope = float(np.dot(w, (x - xbar) * (y - ybar))) / sxx
+    intercept = ybar - slope * xbar
+    resid = y - (intercept + slope * x)
+    n = x.size
+    ss_res = float(np.dot(w, resid**2)) * n
+    ss_tot = float(np.dot(w, (y - ybar) ** 2)) * n
+    r_squared = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
+    if n > 2:
+        stderr = math.sqrt(max(ss_res, 0.0) / (n - 2) / (n * sxx))
+    else:
+        stderr = float("nan")
+    return slope, intercept, stderr, r_squared
+
+
+def circulant_gaussian(cov_row, rng, clip_tol):
+    """Exact stationary Gaussian sample via circulant embedding, computing
+    the embedding's spectrum afresh on every call.  cov_row holds the
+    autocovariance at lags 0..n; with clip_tol None the embedding must be
+    positive semidefinite, else the clipped negative energy stays below
+    clip_tol."""
+    n = cov_row.size - 1
+    circ = np.concatenate([cov_row, cov_row[-2:0:-1]])
+    eigs = np.fft.fft(circ).real
+    if clip_tol is None:
+        if eigs.min() < -1e-9 * max(1.0, eigs.max()):
+            raise AssertionError("circulant embedding not positive semidefinite")
+        eigs = np.maximum(eigs, 0.0)
+    else:
+        neg = -eigs[eigs < 0.0].sum()
+        total = np.abs(eigs).sum()
+        if total > 0 and neg > clip_tol * total:
+            raise AssertionError("clipped eigenvalue energy exceeds clip_tol")
+        eigs = np.maximum(eigs, 0.0)
+    z_re = rng.standard_normal(n + 1)
+    z_im = rng.standard_normal(n + 1)
+    z = np.empty(2 * n, dtype=np.complex128)
+    z[0] = z_re[0]
+    z[n] = z_re[n]
+    half = (z_re[1:n] + 1j * z_im[1:n]) / math.sqrt(2.0)
+    z[1:n] = half
+    z[n + 1:] = np.conj(half[::-1])
+    sample = np.fft.ifft(np.sqrt(eigs) * z) * math.sqrt(2 * n)
+    return sample.real[:n]
+
+
+def generated_samples(spec):
+    """The samples of synth.generate(spec), each Gaussian field drawn by
+    circulant_gaussian from its covariance."""
+    from scalefree.synth import _OMEGA_STREAM_TAG, _fgn_autocovariance
+    n = spec.length
+    eps = circulant_gaussian(_fgn_autocovariance(spec.hurst, np.arange(n + 1)),
+                             np.random.default_rng(spec.seed), None)
+    if spec.kind == "fgn":
+        return eps
+    if spec.kind == "fbm":
+        return np.cumsum(eps)
+    scale = n if spec.integral_scale is None else spec.integral_scale
+    lags = np.arange(n + 1, dtype=np.float64)
+    cov = np.zeros(n + 1)
+    inside = lags < scale
+    cov[inside] = spec.lambda2 * np.log(scale / (lags[inside] + 1.0))
+    omega = circulant_gaussian(
+        cov, np.random.default_rng([_OMEGA_STREAM_TAG, spec.seed]), 1e-6)
+    omega += -0.5 * spec.lambda2 * math.log(scale)
+    return np.cumsum(eps * np.exp(omega))

@@ -87,6 +87,18 @@ class TestSpectrumCommand:
                for f, p in zip(spectrum.frequencies, spectrum.power) if p > 0]
         assert out.read_bytes() == spectrum_bytes(ref)
 
+    def test_welch_segment_length_outside_2_to_n(self, tmp_path, signal_csv,
+                                                 capsys):
+        for segment_length in ("0", "1", "8192"):
+            code = main(["spectrum", "--in", str(signal_csv), "--method",
+                         "welch", "--segment-length", segment_length,
+                         "--out", str(tmp_path / "x.csv")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == (f"error: segment_length={segment_length} "
+                           "outside 2..4096 (signal length)\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_column(self, tmp_path, signal_csv, capsys):
         code = main(["spectrum", "--in", str(signal_csv), "--column", "nope",
                      "--out", str(tmp_path / "x.csv")])
@@ -151,6 +163,13 @@ class TestAnalyzeCommand:
               "sampling_rate": 0}, "config key sampling_rate"),
             ({"synthetic": {}, "sampling_rate": 0}, "config key sampling_rate"),
             ({"synthetic": {}, "seed": -1}, "config key seed"),
+            ({"synthetic": {}, "welch": {"segment_length": 0}},
+             "config key welch.segment_length: 0 must be >= 2"),
+            ({"synthetic": {}, "welch": {"segment_length": 1}},
+             "config key welch.segment_length: 1 must be >= 2"),
+            ({"synthetic": {"subjects": 3, "length": 1024},
+              "welch": {"segment_length": 4096}, "output_dir": out},
+             "config key welch.segment_length: 4096 exceeds 1024 samples"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for cfg, named in cases:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scalefree.leaders_mf import (DEFAULT_Q_GRID, _k_statistics,
                                   multifractal_estimate, parabolic_spectrum,
                                   select_gamma, structure_functions,
                                   zeta_exponents)
+from scalefree.scaling import fit_loglog
 from scalefree.synth import GeneratorSpec, gen_fbm, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, WaveletPyramid, build_wavelet, dwt
 
@@ -412,6 +414,50 @@ class TestSpectra:
 
 
 class TestMultifractalEstimate:
+    @given(j1=st.integers(2, 4), width=st.integers(2, 3),
+           kind=st.sampled_from(["fgn", "mrw"]), seed=st.integers(0, 2**32),
+           gamma=st.sampled_from([("fixed", 2.0), ("fixed", 0.0),
+                                  ("auto", None)]),
+           shift=st.sampled_from([0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_fitted_octaves_equal_full_rows(self, db3, j1, width, kind, seed,
+                                            gamma, shift):
+        """Moments of octaves j1..j2 only give the estimates of moments of
+        every octave, bit for bit."""
+        j2 = j1 + width
+        spec = GeneratorSpec(kind, 0.7, 2048, seed=seed,
+                             lambda2=0.05 if kind == "mrw" else 0.0)
+        pyramid = dwt(gen_fgn(spec) if kind == "fgn" else gen_mrw(spec),
+                      db3, j2)
+        est = multifractal_estimate(pyramid, j1, j2, gamma_mode=gamma[0],
+                                    gamma_value=gamma[1],
+                                    reference_shift=shift)
+        sf = structure_functions(compute_leaders(pyramid, est.gamma),
+                                 DEFAULT_Q_GRID)
+        fits = [fit_loglog([(j, sf.values[j - 1, iq])
+                            for j in range(j1, j2 + 1)], j1, j2)
+                for iq in range(sf.q_grid.size)]
+        zeta = np.empty((sf.q_grid.size, 2))
+        zeta[:, 0] = sf.q_grid
+        zeta[:, 1] = ([f.slope for f in fits]
+                      - (sf.gamma - shift) * sf.q_grid)
+        assert est.zeta.tobytes() == zeta.tobytes()
+        assert (est.diagnostics["zeta_r_squared"].tobytes()
+                == np.array([f.r_squared for f in fits]).tobytes())
+        assert est.spectrum.tobytes() == legendre_spectrum(zeta).tobytes()
+        if shift == 0:
+            assert est.zeta.tobytes() == zeta_exponents(sf, j1, j2).tobytes()
+
+    def test_octave_without_leader_below_range_still_fails(self, db3):
+        sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=3))
+        pyramid = dwt(sig, db3, 7)
+        silent = replace(pyramid, coeffs=(np.zeros_like(pyramid.coeffs[0]),)
+                         + pyramid.coeffs[1:])
+        multifractal_estimate(pyramid, 3, 7)
+        with pytest.raises(ScaleRangeError,
+                           match="octave 1 has no valid leaders"):
+            multifractal_estimate(silent, 3, 7)
+
     def test_zeta_concavity_tolerance(self, db3):
         for maker, kwargs in (
             (gen_fgn, dict(kind="fgn", hurst=0.7)),

@@ -371,8 +371,9 @@ class TestRunFullAnalysis:
 
     def test_spectra_and_dh_match_csv_writer(self, tmp_path):
         """Every CSV output equals a csv.writer rendering with "%.17g"
-        cells, quoting ids and a network tag that hold a comma or a quote."""
-        ids = ["s,1", 'q"2', "sub2", "sub3"]
+        cells, quoting ids and a network tag that hold a comma or a quote;
+        an id holding "%" is text, not a template field."""
+        ids = ["s,1", 'q"2', "x%5", "sub3"]
         inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
                                        n=512, seed=5, ids=ids)
         with open(inputs["taxonomy"], "w", newline="") as fh:

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from scalefree.errors import EstimationError, ParameterError, ScaleRangeError
-from scalefree.scaling import (ScalingFit, SpectrumEstimate,
+from scalefree.scaling import (ScalingFit, SpectrumEstimate, _octave_design,
+                               _ols_line, _psd_window,
                                default_segment_length, estimate_hurst,
                                fit_loglog, fit_psd_powerlaw,
                                hurst_from_pyramid, scale_to_frequency,
                                welch_psd, wavelet_spectrum)
 from scalefree.synth import GeneratorSpec, gen_fgn
 from scalefree.wavelet import Signal, dwt
+
+from oracles import ols_line
 
 
 # welch_psd repeats the operations of scipy 1.17's welch, which is built on
@@ -75,6 +78,44 @@ class TestFitLoglog:
     def test_range_too_narrow(self):
         with pytest.raises(ParameterError):
             fit_loglog([(1, 1.0), (2, 1.0)], 1, 2)
+
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3), weighted=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_ols_line_equals_one_pass_oracle(self, n, seed, scale, weighted):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(n)
+        y = rng.standard_normal(n) + 0.3 * x
+        weights = rng.uniform(0.1, 10.0, n) if weighted else None
+        # repr tells apart -0.0 and 0.0 and matches nan with nan
+        assert repr(_ols_line(x, y, weights)) == repr(ols_line(x, y, weights))
+
+    @given(j1=st.integers(1, 8), width=st.integers(2, 9),
+           seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
+           cleared=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_pass_oracle(self, j1, width, seed, weighted, cleared):
+        """Memoised designs, on a hit and after cache_clear, give the fit
+        of the one-pass OLS bit for bit."""
+        j2 = j1 + width
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(0.0, 3.0, width + 1)
+        weights = rng.uniform(0.1, 10.0, width + 1) if weighted else None
+        expected = ols_line(np.arange(j1, j2 + 1).astype(np.float64),
+                            np.log2(values), weights)
+        if cleared:
+            _octave_design.cache_clear()
+        for _ in range(2):
+            fit = fit_loglog(zip(range(j1, j2 + 1), values), j1, j2, weights)
+            assert repr((fit.slope, fit.intercept, fit.stderr_slope,
+                         fit.r_squared)) == repr(expected)
+
+    def test_memoised_design_is_read_only(self):
+        x, w, _, dx, _ = _octave_design(3, 6)
+        assert _octave_design(3, 6)[0] is x
+        for a in (x, w, dx):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_weighted_matches_plain_for_equal_weights(self):
         points = [(j, 2.0 ** (-0.6 * j) * (1 + 0.05 * ((-1) ** j)))
@@ -146,6 +187,18 @@ class TestWelch:
         sig = Signal(np.random.default_rng(0).standard_normal(64), 1.0, "x")
         with pytest.raises(EstimationError):
             welch_psd(sig, segment_length=64)
+
+    def test_segment_length_outside_2_to_n(self):
+        sig = Signal(np.random.default_rng(0).standard_normal(64), 1.0, "x")
+        for segment_length in (-4, 0, 1, 65):
+            with pytest.raises(ParameterError, match="outside 2..64"):
+                welch_psd(sig, segment_length=segment_length)
+
+    def test_memoised_window_is_read_only(self):
+        win = _psd_window("hann", 64, 2.0)
+        assert _psd_window("hann", 64, 2.0) is win
+        with pytest.raises(ValueError):
+            win[0] = 1.0
 
     @given(n=st.integers(16, 20_000), fraction=st.floats(0.0, 0.5),
            overlap=st.floats(0.0, 0.99), fs=st.floats(1e-2, 1e3),

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from scalefree.errors import ParameterError
-from scalefree.synth import (GeneratorSpec, gen_fbm, gen_fgn, gen_mrw,
-                             generate, theoretical_zeta)
+from scalefree.synth import (KINDS, GeneratorSpec, _fgn_root, _omega_root,
+                             gen_fbm, gen_fgn, gen_mrw, generate,
+                             theoretical_zeta)
+
+from oracles import generated_samples
 
 
 def fgn_rho(hurst, k):
@@ -162,6 +167,43 @@ class TestMrw:
     def test_generate_dispatch(self):
         spec = GeneratorSpec("mrw", 0.5, 2**10, seed=4, lambda2=0.05)
         assert np.array_equal(generate(spec).samples, gen_mrw(spec).samples)
+
+
+class TestMemoisedSpectra:
+    @given(kind=st.sampled_from(KINDS), hurst=st.floats(0.01, 0.99),
+           log_n=st.integers(1, 12), seed=st.integers(0, 2**63),
+           lambda2=st.floats(0.0, 0.5), scale_fraction=st.floats(0.0, 1.0),
+           cleared=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_generators_equal_one_pass_oracle(self, kind, hurst, log_n, seed,
+                                              lambda2, scale_fraction,
+                                              cleared):
+        """Memoised spectra, on a hit and after cache_clear, give the
+        samples of spectra computed afresh bit for bit."""
+        n = 2**log_n
+        mrw = {"lambda2": lambda2,
+               "integral_scale": max(2, round(scale_fraction * n))}
+        spec = GeneratorSpec(kind, hurst, n, seed=seed,
+                             **(mrw if kind == "mrw" else {}))
+        if cleared:
+            _fgn_root.cache_clear()
+            _omega_root.cache_clear()
+        try:
+            expected = generated_samples(spec)
+        except AssertionError:  # clipped energy above tolerance
+            with pytest.raises(AssertionError):
+                generate(spec)
+            return
+        for _ in range(2):
+            assert generate(spec).samples.tobytes() == expected.tobytes()
+
+    def test_memoised_roots_are_read_only(self):
+        for memo, args in ((_fgn_root, (0.7, 64)),
+                           (_omega_root, (0.05, 16, 64))):
+            root = memo(*args)
+            assert memo(*args) is root
+            with pytest.raises(ValueError):
+                root[0] = 0.0
 
 
 class TestTheoreticalZeta:
