@@ -162,7 +162,6 @@ class TestResult:
     df: str
     test_kind: str
     sidedness: str
-    effect_label: str = ""
     p_corrected: float | None = None
     degenerate: bool = False
 
@@ -172,8 +171,7 @@ def _check_sidedness(sidedness: str) -> None:
         raise ParameterError(f"sidedness {sidedness!r} not one of {SIDEDNESS}")
 
 
-def one_sample_t(values, mu0: float, sidedness: str = "greater",
-                 effect_label: str = "") -> TestResult:
+def one_sample_t(values, mu0: float, sidedness: str = "greater") -> TestResult:
     """Student t test of the mean against mu0 with an exact t-distribution
     p-value; zero-variance inputs yield a flagged degenerate result instead
     of an error."""
@@ -190,10 +188,9 @@ def one_sample_t(values, mu0: float, sidedness: str = "greater",
     if sd <= 1e-12 * scale:
         if abs(mean - mu0) <= 1e-12 * scale:
             return TestResult(0.0, 1.0, f"{df}", "t_one", sidedness,
-                              effect_label, degenerate=True)
+                              degenerate=True)
         t = math.copysign(math.inf, mean - mu0)
-        return TestResult(t, 0.0, f"{df}", "t_one", sidedness,
-                          effect_label, degenerate=True)
+        return TestResult(t, 0.0, f"{df}", "t_one", sidedness, degenerate=True)
     t = (mean - mu0) / (sd / math.sqrt(n))
     if sidedness == "greater":
         p = float(sp_stats.t.sf(t, df))
@@ -201,7 +198,7 @@ def one_sample_t(values, mu0: float, sidedness: str = "greater",
         p = float(sp_stats.t.cdf(t, df))
     else:
         p = float(2.0 * sp_stats.t.sf(abs(t), df))
-    return TestResult(t, p, f"{df}", "t_one", sidedness, effect_label)
+    return TestResult(t, p, f"{df}", "t_one", sidedness)
 
 
 def _wsr_exact_p(ranks: np.ndarray, w_obs: float, sidedness: str) -> float:
@@ -234,8 +231,8 @@ def _wsr_normal_p(ranks: np.ndarray, w_obs: float, sidedness: str) -> float:
     return float(min(1.0, 2.0 * sp_stats.norm.sf(abs(z))))
 
 
-def wilcoxon_signed_rank(values, mu0: float, sidedness: str = "greater",
-                         effect_label: str = "") -> TestResult:
+def wilcoxon_signed_rank(values, mu0: float,
+                         sidedness: str = "greater") -> TestResult:
     """Wilcoxon signed-rank location test against mu0.
 
     Exact enumeration over all 2^n sign patterns for n <= 12 (ties handled
@@ -249,7 +246,7 @@ def wilcoxon_signed_rank(values, mu0: float, sidedness: str = "greater",
     n = diffs.size
     if n == 0:
         return TestResult(float("nan"), 1.0, "0", "wsr", sidedness,
-                          effect_label, degenerate=True)
+                          degenerate=True)
     if n < 3:
         raise ParameterError(f"need n >= 3 nonzero differences, got {n}")
     ranks = sp_stats.rankdata(np.abs(diffs))
@@ -258,7 +255,7 @@ def wilcoxon_signed_rank(values, mu0: float, sidedness: str = "greater",
         p = _wsr_exact_p(ranks, w_obs, sidedness)
     else:
         p = _wsr_normal_p(ranks, w_obs, sidedness)
-    return TestResult(w_obs, p, f"n={n}", "wsr", sidedness, effect_label)
+    return TestResult(w_obs, p, f"n={n}", "wsr", sidedness)
 
 
 def bonferroni(p_values, family_size: int | None = None) -> np.ndarray:
@@ -272,14 +269,13 @@ def bonferroni(p_values, family_size: int | None = None) -> np.ndarray:
     return np.minimum(1.0, m * p)
 
 
-def paired_t_two_state(rest, task, sidedness: str = "greater",
-                       effect_label: str = "") -> TestResult:
+def paired_t_two_state(rest, task, sidedness: str = "greater") -> TestResult:
     """Paired t test on rest - task differences (one-sided: rest > task)."""
     r = np.asarray(rest, dtype=np.float64)
     t = np.asarray(task, dtype=np.float64)
     if r.shape != t.shape:
         raise ParameterError("rest and task must pair the same subjects")
-    return replace(one_sample_t(r - t, 0.0, sidedness, effect_label),
+    return replace(one_sample_t(r - t, 0.0, sidedness),
                    test_kind="t_two_paired")
 
 
@@ -329,8 +325,7 @@ def anova_decomposition(cells: np.ndarray) -> dict:
     return ss
 
 
-def rm_anova_2way(cells: np.ndarray, factor_a: str = "State",
-                  factor_b: str = "Map"):
+def rm_anova_2way(cells: np.ndarray):
     """2-way repeated-measures ANOVA, both factors within subject.
 
     Returns three TestResults (factor A, factor B, interaction) with
@@ -339,23 +334,19 @@ def rm_anova_2way(cells: np.ndarray, factor_a: str = "State",
     ss = anova_decomposition(cells)
     df = ss["df"]
     results = []
-    for effect, error, label in (
-        ("A", "AxS", factor_a),
-        ("B", "BxS", factor_b),
-        ("AxB", "AxBxS", f"{factor_a} x {factor_b}"),
-    ):
+    for effect, error in (("A", "AxS"), ("B", "BxS"), ("AxB", "AxBxS")):
         ms_effect = ss[effect] / df[effect]
         ms_error = ss[error] / df[error]
         if ms_error <= 0.0:
             results.append(TestResult(
                 float("nan"), float("nan"), f"({df[effect]}, {df[error]})",
-                "anova_rm2", "two", label, degenerate=True))
+                "anova_rm2", "two", degenerate=True))
             continue
         f_stat = ms_effect / ms_error
         p = float(sp_stats.f.sf(f_stat, df[effect], df[error]))
         results.append(TestResult(
             float(f_stat), p, f"({df[effect]}, {df[error]})",
-            "anova_rm2", "two", label))
+            "anova_rm2", "two"))
     return tuple(results)
 
 
@@ -434,9 +425,8 @@ def _one_sample_block(values_by_unit: dict, param: str) -> dict:
     block = {}
     for unit, values in values_by_unit.items():
         block[unit] = {
-            "t": one_sample_t(values, mu0, sidedness, effect_label=unit),
-            "wsr": wilcoxon_signed_rank(values, mu0, sidedness,
-                                        effect_label=unit),
+            "t": one_sample_t(values, mu0, sidedness),
+            "wsr": wilcoxon_signed_rank(values, mu0, sidedness),
         }
     for test in ("t", "wsr"):
         corrected = bonferroni([block[unit][test].p_value for unit in block])
@@ -493,8 +483,7 @@ def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
                            for idx in units.values()], axis=1)
                  for j in range(2)], axis=1,
             )  # (S, states, units)
-            res_state, res_b, res_int = rm_anova_2way(
-                cells, factor_a="State", factor_b=factor_b)
+            res_state, res_b, res_int = rm_anova_2way(cells)
             anova[set_name][param] = {
                 "State": res_state, factor_b: res_b,
                 f"State x {factor_b}": res_int,
@@ -509,7 +498,7 @@ def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
                 rest = table.subject_means(idx, 0, ip)
                 task = table.subject_means(idx, 1, ip)
                 two_sample[level][unit][param] = paired_t_two_state(
-                    rest, task, TWO_SAMPLE_SIDEDNESS[param], effect_label=unit)
+                    rest, task, TWO_SAMPLE_SIDEDNESS[param])
 
     return BatteryReport(one_sample=one_sample, anova=anova,
                          two_sample=two_sample, alpha_levels=tuple(alpha_levels))

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import (DataFormatError, EstimationError, ParameterError,
                      ScaleFreeError, ScaleRangeError)
-from .grouptests import (PARAMS, STATES, BatteryReport, GroupSummary,
+from .grouptests import (CLASSES, PARAMS, STATES, BatteryReport, GroupSummary,
                          GroupTable, MapTaxonomy, aggregate, run_battery)
 from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate, _check_gamma,
                          _require_cumulant_counts, compute_leaders,
@@ -38,8 +38,8 @@ from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate, _check_gamma,
 from .scaling import (WINDOWS, estimate_hurst, fit_loglog, fit_psd_powerlaw,
                       scale_to_frequency, welch_psd, wavelet_spectrum)
 from .synth import GeneratorSpec, gen_fgn, gen_mrw
-from .wavelet import (MotherWavelet, Signal, build_wavelet, dwt,
-                      max_feasible_octave, sup_magnitudes)
+from .wavelet import (MAX_VANISHING, MotherWavelet, Signal, build_wavelet,
+                      dwt, max_feasible_octave, sup_magnitudes)
 
 DEFAULT_SYNTHETIC = {
     "subjects": 12,
@@ -118,6 +118,9 @@ class AnalysisConfig:
             raise ParameterError(f"invalid octave_range {self.octave_range}")
         if j2 - j1 < 2:
             raise ParameterError("octave_range must span at least 3 octaves")
+        if not 1 <= self.n_vanishing <= MAX_VANISHING:
+            raise ParameterError(f"config key n_vanishing: {self.n_vanishing} "
+                                 f"outside 1..{MAX_VANISHING}")
         for a in self.alpha_levels:
             if not 0.0 < a < 1.0:
                 raise ParameterError(f"alpha level {a} outside (0, 1)")
@@ -154,6 +157,7 @@ class AnalysisConfig:
         if self.synthetic is not None:
             object.__setattr__(self, "synthetic",
                                _resolve_synthetic(self.synthetic))
+            _check_synthetic(self.synthetic)
         object.__setattr__(self, "octave_range", tuple(self.octave_range))
         object.__setattr__(self, "alpha_levels", tuple(self.alpha_levels))
         object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
@@ -219,6 +223,33 @@ def _resolve_synthetic(raw: dict, defaults: dict = DEFAULT_SYNTHETIC,
         out[key] = (_resolve_synthetic(value, out[key], f"{path}.{key}")
                     if isinstance(value, dict) else value)
     return out
+
+
+def _check_synthetic(syn: dict) -> None:
+    """Raise ParameterError naming the first key of a resolved synthetic
+    section that no study can run with.  Each generator value is checked
+    by a GeneratorSpec that takes only that value from syn, so the rules
+    stay in GeneratorSpec and the error names the value's key."""
+    if syn["subjects"] < 1:
+        raise ParameterError(
+            f"config key synthetic.subjects: {syn['subjects']} must be >= 1")
+    counts = syn["maps"]
+    for cls, count in counts.items():
+        if count < 0:
+            raise ParameterError(
+                f"config key synthetic.maps.{cls}: {count} must be >= 0")
+    if not any(counts.values()):
+        raise ParameterError("config key synthetic.maps: no map to analyze")
+    checks = {"length": ("fgn", 0.5, 0.0)}  # key -> (kind, hurst, lambda2)
+    for cls in (c for c in CLASSES if counts[c]):
+        for key in ("rest_hurst", "task_hurst"):
+            checks[f"{key}.{cls}"] = ("fgn", syn[key][cls], 0.0)
+        checks[f"lambda2.{cls}"] = ("mrw", 0.5, syn["lambda2"][cls])
+    for key, (kind, hurst, lambda2) in checks.items():
+        try:
+            GeneratorSpec(kind, hurst, syn["length"], 0, lambda2)
+        except ParameterError as exc:
+            raise ParameterError(f"config key synthetic.{key}: {exc}") from None
 
 
 def synthetic_taxonomy(n_f: int = 25, n_a: int = 13, n_u: int = 4) -> MapTaxonomy:
@@ -407,8 +438,7 @@ def project_onto_maps(data: np.ndarray, maps: np.ndarray,
     return y @ np.linalg.solve(gram, v.T).T
 
 
-def analyze_series(signal: Signal, config: AnalysisConfig,
-                   wavelet: MotherWavelet | None = None) -> MfEstimate:
+def analyze_series(signal: Signal, config: AnalysisConfig) -> MfEstimate:
     """Spectrum path plus leader path for one series.
 
     The wavelet-spectrum fit gives (beta, H, stationarity); the leader
@@ -417,11 +447,9 @@ def analyze_series(signal: Signal, config: AnalysisConfig,
     quoted on the same scale as H.
     """
     j1, j2 = config.octave_range
-    if wavelet is None:
-        wavelet = build_wavelet(config.n_vanishing)
     try:
-        _require_feasible(len(signal), config, wavelet)
-        pyramid = dwt(signal, wavelet, j2)
+        _require_feasible(len(signal), config)
+        pyramid = dwt(signal, _wavelet(config.n_vanishing), j2)
         sup_magnitudes(pyramid, j1, j2)  # degenerate-input gate
 
         fit, rows = _spectrum_rows(pyramid, j1, j2)
@@ -501,14 +529,14 @@ def _run_one(task) -> list:
     """(key, estimate, error, text) of each series of one (subject, state)
     run; a series that raises a ScaleFreeError fails alone.  The run is
     expanded (if a recipe), analyzed, then formatted, in that order."""
-    (subject, state), run, labels, config, wavelet = task
+    (subject, state), run, labels, config = task
     matrix = run.matrix(config) if isinstance(run, SyntheticRun) else run
     outcomes = []
     for label, samples in zip(labels, matrix.T):
         key = (subject, label, state)
         try:
             signal = Signal(samples, config.sampling_rate, label="/".join(key))
-            outcomes.append((key, analyze_series(signal, config, wavelet), None))
+            outcomes.append((key, analyze_series(signal, config), None))
         except ScaleFreeError as exc:
             outcomes.append((key, None, f"{type(exc).__name__}: {exc}"))
     return [(key, estimate, error,
@@ -531,12 +559,18 @@ class AnalysisReport:
     output_dir: str
 
 
+@lru_cache(maxsize=MAX_VANISHING)
+def _wavelet(n_vanishing: int) -> MotherWavelet:
+    """The wavelet of a config, built once per process (taps read-only)."""
+    return build_wavelet(n_vanishing)
+
+
 @lru_cache(maxsize=32)
 def _leader_spans(n: int, n_vanishing: int) -> tuple:
     """Valid leader positions per octave for any series of n samples: the
     validity ranges of dwt and compute_leaders depend only on n and the
     filter, so they are read once from a zero series of that length."""
-    wavelet = build_wavelet(n_vanishing)
+    wavelet = _wavelet(n_vanishing)
     pyramid = dwt(Signal(np.zeros(n), 1.0), wavelet,
                   max_feasible_octave(n, wavelet))
     leaders = compute_leaders(pyramid, 0.0)
@@ -544,21 +578,20 @@ def _leader_spans(n: int, n_vanishing: int) -> tuple:
     return tuple(spans) + (0,) * (pyramid.max_octave - leaders.max_octave)
 
 
-def _require_feasible(n: int, config: AnalysisConfig,
-                      wavelet: MotherWavelet) -> None:
+def _require_feasible(n: int, config: AnalysisConfig) -> None:
     """The feasibility rule for n samples: octave j2 and a set Welch segment
     fit, and every octave in range keeps enough leaders for cumulants."""
     j1, j2 = config.octave_range
     if (config.welch_segment_length or 0) > n:
         raise ParameterError(f"config key welch.segment_length: "
                              f"{config.welch_segment_length} exceeds {n} samples")
-    feasible = max_feasible_octave(n, wavelet)
+    feasible = max_feasible_octave(n, _wavelet(config.n_vanishing))
     if j2 > feasible:
         raise ScaleRangeError(
             f"length {n} supports octaves up to {feasible}, "
             f"configured range is {config.octave_range}"
         )
-    spans = _leader_spans(n, wavelet.n_vanishing)
+    spans = _leader_spans(n, config.n_vanishing)
     _require_cumulant_counts({j: spans[j - 1] for j in range(j1, j2 + 1)},
                              prefix=f"length {n}: ")
 
@@ -578,8 +611,6 @@ def _build_dataset(config: AnalysisConfig) -> Dataset:
     counts = syn["maps"]
     taxonomy = synthetic_taxonomy(counts["F"], counts["A"], counts["U"])
     subjects = tuple(f"s{idx + 1:02d}" for idx in range(syn["subjects"]))
-    if not subjects:
-        raise ParameterError("dataset has no subjects")
     runs = {(subject, state): SyntheticRun(s_idx, j, taxonomy.classes)
             for s_idx, subject in enumerate(subjects)
             for j, state in enumerate(STATES)}
@@ -597,17 +628,16 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     reruns and worker counts, and are renamed into place only once all six
     are written.
     """
-    wavelet = build_wavelet(config.n_vanishing)
     dataset = _build_dataset(config)
     # Every run of a state has the same length (load_dataset checks it).
     lengths = ({config.synthetic["length"]} if config.synthetic is not None
                else {dataset.runs[(dataset.subjects[0], state)].shape[0]
                      for state in STATES})
     for n in sorted(lengths):
-        _require_feasible(n, config, wavelet)
+        _require_feasible(n, config)
 
     with _published(Path(config.output_dir)) as files:
-        results, failures = _analyze_runs(config, dataset, wavelet, files)
+        results, failures = _analyze_runs(config, dataset, files)
 
         cells = {key: (e.c1, e.c2, e.hurst) for key, e in results.items()}
         table, dropped = _group_table(dataset.subjects, dataset.taxonomy,
@@ -672,22 +702,20 @@ def _published(out: Path):
         os.replace(path, out / name)
 
 
-def _run_tasks(config: AnalysisConfig, dataset: Dataset,
-               wavelet: MotherWavelet) -> list:
+def _run_tasks(config: AnalysisConfig, dataset: Dataset) -> list:
     """One _run_one task per (subject, state) run, subject by subject."""
     labels = dataset.taxonomy.display_labels()
-    return [((subject, state), dataset.runs[(subject, state)], labels,
-             config, wavelet)
+    return [((subject, state), dataset.runs[(subject, state)], labels, config)
             for subject in dataset.subjects for state in STATES]
 
 
 def _analyze_runs(config: AnalysisConfig, dataset: Dataset,
-                  wavelet: MotherWavelet, files: dict) -> tuple:
+                  files: dict) -> tuple:
     """(results, failures) of every run.  The rows of estimates.csv,
     spectra.csv and dh_curves.csv (files[name]) are written as each
     subject's runs come back, in (subject, map, state) order, and their
     text is then dropped."""
-    tasks = _run_tasks(config, dataset, wavelet)
+    tasks = _run_tasks(config, dataset)
     results = {}
     failures = {}
     with ExitStack() as stack:

@@ -27,9 +27,10 @@ KINDS = ("fgn", "fbm", "mrw")
 class GeneratorSpec:
     """Parameters of one synthetic realization.
 
-    lambda2 is the cascade intermittency (mrw only); integral_scale is the
-    correlation horizon of the log-weight field in samples (mrw only,
-    defaults to the signal length).
+    length is a power of two (circulant embedding requirement); lambda2 is
+    the cascade intermittency (mrw only); integral_scale is the correlation
+    horizon of the log-weight field in samples (mrw only, defaults to the
+    signal length).
     """
 
     kind: str
@@ -47,6 +48,9 @@ class GeneratorSpec:
             raise ParameterError(f"hurst={self.hurst} outside (0, 1)")
         if self.length < 2:
             raise ParameterError("length must be >= 2")
+        if self.length & (self.length - 1):
+            raise ParameterError(f"length={self.length} is not a power of two "
+                                 "(circulant embedding requirement)")
         if self.kind in ("fgn", "fbm"):
             if self.lambda2 not in (0, 0.0):
                 raise ParameterError(f"{self.kind} takes no lambda2")
@@ -78,10 +82,6 @@ def _circulant_root(cov_row: np.ndarray, clip_tol: float | None) -> np.ndarray:
     embedding must be positive semidefinite; otherwise negative eigenvalues
     are clipped at zero and their energy fraction asserted below clip_tol.
     """
-    n = cov_row.size - 1
-    if n & (n - 1):
-        raise ParameterError(
-            f"length={n} is not a power of two (circulant embedding requirement)")
     circ = np.concatenate([cov_row, cov_row[-2:0:-1]])  # length 2n
     eigs = np.fft.fft(circ).real
     if clip_tol is None:

@@ -170,6 +170,26 @@ class TestAnalyzeCommand:
             ({"synthetic": {"subjects": 3, "length": 1024},
               "welch": {"segment_length": 4096}, "output_dir": out},
              "config key welch.segment_length: 4096 exceeds 1024 samples"),
+            ({"synthetic": {}, "n_vanishing": 0, "output_dir": out},
+             "config key n_vanishing: 0 outside 1..10"),
+            ({"synthetic": {}, "n_vanishing": 11, "output_dir": out},
+             "config key n_vanishing: 11 outside 1..10"),
+            ({"synthetic": {"maps": {"F": 0, "A": 0, "U": 0}},
+              "output_dir": out}, "config key synthetic.maps: no map"),
+            ({"synthetic": {"maps": {"F": -1}}, "output_dir": out},
+             "config key synthetic.maps.F: -1 must be >= 0"),
+            ({"synthetic": {"lambda2": {"F": -0.1}}, "output_dir": out},
+             "config key synthetic.lambda2.F: lambda2=-0.1 outside"),
+            ({"synthetic": {"lambda2": {"A": 0.7}}, "output_dir": out},
+             "config key synthetic.lambda2.A: lambda2=0.7 outside"),
+            ({"synthetic": {"rest_hurst": {"F": 1.5}}, "output_dir": out},
+             "config key synthetic.rest_hurst.F: hurst=1.5 outside"),
+            ({"synthetic": {"task_hurst": {"U": 0}}, "output_dir": out},
+             "config key synthetic.task_hurst.U: hurst=0 outside"),
+            ({"synthetic": {"length": 1000}, "output_dir": out},
+             "config key synthetic.length: length=1000 is not a power of two"),
+            ({"synthetic": {"subjects": 0}, "output_dir": out},
+             "config key synthetic.subjects: 0 must be >= 1"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for cfg, named in cases:
@@ -177,6 +197,7 @@ class TestAnalyzeCommand:
             assert main(["analyze", "--config", str(cfg_path)]) == 1, cfg
             err = capsys.readouterr().err
             assert err.startswith("error:") and named in err, (cfg, err)
+        assert not (tmp_path / "out").exists()  # no case opened an output
 
 
 class TestBatteryCommand:

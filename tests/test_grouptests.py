@@ -289,10 +289,8 @@ class TestPairedT:
         assert paired.p_value == direct.p_value
 
     def test_result_is_labelled_paired(self):
-        res = paired_t_two_state([0.8, 0.9, 0.7], [0.7, 0.7, 0.6], "greater",
-                                 effect_label="f_1")
+        res = paired_t_two_state([0.8, 0.9, 0.7], [0.7, 0.7, 0.6], "greater")
         assert res.test_kind == "t_two_paired"
-        assert res.effect_label == "f_1"
 
 
 class TestAnova:

@@ -89,6 +89,14 @@ class TestConfig:
         with pytest.raises(ParameterError, match="config key seed"):
             AnalysisConfig(synthetic={}, seed=-1)
 
+    def test_synthetic_values_checked_only_for_classes_with_maps(self):
+        cfg = AnalysisConfig(synthetic={"maps": {"U": 0},
+                                        "rest_hurst": {"U": 1.5}})
+        assert cfg.synthetic["rest_hurst"]["U"] == 1.5
+        with pytest.raises(ParameterError,
+                           match=r"config key synthetic\.rest_hurst\.U: hurst"):
+            AnalysisConfig(synthetic={"rest_hurst": {"U": 1.5}})
+
     def test_gamma_json_nesting(self):
         cfg = AnalysisConfig.from_dict(
             {"synthetic": {}, "gamma": {"mode": "auto", "eps": 0.2}})
@@ -247,6 +255,27 @@ class TestAnalyzeSeries:
                                             leaders.valid_stop))
         assert _leader_spans(3000, 3) == spans
         assert _leader_spans(512, 3) == (252, 123, 58, 26, 10, 2)
+
+    def test_wavelet_built_once_per_process(self, tmp_path, monkeypatch):
+        builds = []
+        real_build = pipeline.build_wavelet
+        monkeypatch.setattr(pipeline, "build_wavelet",
+                            lambda n: builds.append(n) or real_build(n))
+        pipeline._wavelet.cache_clear()
+        cfg = AnalysisConfig(synthetic=SMALL_SYNTH, workers=1,
+                             output_dir=str(tmp_path / "out"))
+        sig = gen_fgn(GeneratorSpec("fgn", 0.7, 1024, seed=1))
+        analyze_series(sig, cfg)
+        analyze_series(sig, cfg)
+        run_full_analysis(cfg)
+        assert builds == [3]
+
+    def test_memoised_wavelet_is_read_only(self):
+        wavelet = pipeline._wavelet(3)
+        assert pipeline._wavelet(3) is wavelet
+        for taps in (wavelet.lowpass_taps, wavelet.highpass_taps):
+            with pytest.raises(ValueError, match="read-only"):
+                taps[0] = 0.0
 
     def test_feasibility_adds_no_dwt_per_series(self, monkeypatch):
         cfg = AnalysisConfig(synthetic={})
@@ -425,7 +454,7 @@ class TestRunFullAnalysis:
         monkeypatch.setattr(pipeline, "gen_fgn", unexpected)
         cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)
         ds = pipeline._build_dataset(cfg)
-        tasks = pipeline._run_tasks(cfg, ds, pipeline.build_wavelet(3))
+        tasks = pipeline._run_tasks(cfg, ds)
         assert [task[0] for task in tasks] == [
             (s, st) for s in ds.subjects for st in ("rest", "task")]
         assert all(isinstance(task[1], pipeline.SyntheticRun)
@@ -456,10 +485,10 @@ class TestRunFullAnalysis:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_synthetic_study_needs_subjects(self, tmp_path):
-        cfg = AnalysisConfig(synthetic={"subjects": 0},
-                             output_dir=str(tmp_path / "out"))
-        with pytest.raises(ParameterError, match="no subjects"):
-            run_full_analysis(cfg)
+        with pytest.raises(ParameterError,
+                           match="config key synthetic.subjects: 0 must be"):
+            run_full_analysis(AnalysisConfig(
+                synthetic={"subjects": 0}, output_dir=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
 
     def test_file_study_streams_in_subject_order(self, tmp_path):
