@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, ScaleFreeError
-from .grouptests import run_battery
+from .grouptests import _check_alpha_levels, run_battery
 from .pipeline import (AnalysisConfig, _csv_rows, _parse_cell, _spectrum_rows,
                        load_estimates_csv, load_taxonomy, run_full_analysis)
-from .scaling import fit_psd_powerlaw, scale_to_frequency, welch_psd
+from .scaling import WINDOWS, fit_psd_powerlaw, scale_to_frequency, welch_psd
 from .synth import GeneratorSpec, generate
-from .wavelet import Signal, build_wavelet, dwt
+from .wavelet import Signal, _check_rate, build_wavelet, dwt
 
 
 def _write(path, text: str) -> None:
@@ -43,6 +43,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_rate(args.rate, "--rate: ")
     spec = GeneratorSpec(
         kind=args.kind, hurst=args.hurst, length=args.length, seed=args.seed,
         lambda2=args.lambda2, integral_scale=args.integral_scale,
@@ -77,6 +78,7 @@ def _read_column(path, column):
 
 
 def _cmd_spectrum(args) -> int:
+    _check_rate(args.rate, "--rate: ")
     samples = _read_column(args.infile, args.column)
     signal = Signal(samples, args.rate, label=args.column)
     rows = []
@@ -101,6 +103,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_battery(args) -> int:
+    _check_alpha_levels(args.alpha, "--alpha: ")
     taxonomy = load_taxonomy(args.taxonomy)
     table = load_estimates_csv(args.estimates, taxonomy)
     battery = run_battery(table, alpha_levels=tuple(args.alpha))
@@ -134,16 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("spectrum", help="PSD plot data for one CSV column")
+    cfg = AnalysisConfig  # its class attributes are the field defaults
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--column", default="value")
     p.add_argument("--method", choices=("welch", "wavelet"), default="wavelet")
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--j1", type=int, default=3)
-    p.add_argument("--j2", type=int, default=6)
-    p.add_argument("--vanishing", type=int, default=3)
-    p.add_argument("--segment-length", type=int, default=None)
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--window", choices=("hann", "rect"), default="hann")
+    p.add_argument("--rate", type=float, default=cfg.sampling_rate)
+    p.add_argument("--j1", type=int, default=cfg.octave_range[0])
+    p.add_argument("--j2", type=int, default=cfg.octave_range[1])
+    p.add_argument("--vanishing", type=int, default=cfg.n_vanishing)
+    p.add_argument("--segment-length", type=int, default=cfg.welch_segment_length)
+    p.add_argument("--overlap", type=float, default=cfg.welch_overlap)
+    p.add_argument("--window", choices=WINDOWS, default=cfg.welch_window)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum)
 

@@ -227,7 +227,7 @@ def _wsr_normal_p(ranks: np.ndarray, w_obs: float, sidedness: str) -> float:
         return float(sp_stats.norm.sf((w_obs - mean - 0.5) / sd))
     if sidedness == "less":
         return float(sp_stats.norm.cdf((w_obs - mean + 0.5) / sd))
-    z = (w_obs - mean - 0.5 * math.copysign(1.0, w_obs - mean)) / sd
+    z = (w_obs - mean - 0.5 * np.sign(w_obs - mean)) / sd  # W+ = mean: p = 1
     return float(min(1.0, 2.0 * sp_stats.norm.sf(abs(z))))
 
 
@@ -435,6 +435,12 @@ def _one_sample_block(values_by_unit: dict, param: str) -> dict:
     return block
 
 
+def _check_alpha_levels(alpha_levels, prefix: str = "") -> None:
+    for a in alpha_levels:
+        if not 0.0 < a < 1.0:
+            raise ParameterError(f"{prefix}alpha_levels: {a} outside (0, 1)")
+
+
 def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
     """One-sample tests, ANOVAs and paired two-state tests at every level.
 
@@ -443,6 +449,7 @@ def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
     paired-test p-values are reported uncorrected with the alpha flags left
     to the consumer, as in the reference workflow.
     """
+    _check_alpha_levels(alpha_levels)
     all_units = table.taxonomy.units()
     level_units = {lvl: units for lvl, units in all_units.items() if units}
 

@@ -61,15 +61,16 @@ def select_gamma(h_min: float, mode: str = "auto", value: float | None = None,
     return float(-h_min + eps)
 
 
-def _check_gamma(mode: str, value: float | None, eps: float) -> None:
-    """Raise ParameterError unless select_gamma accepts mode, value, eps."""
+def _check_gamma(mode: str, value: float | None, eps: float, prefix: str = "") -> None:
+    """Raise ParameterError, prefixed, unless select_gamma takes these."""
     if mode == "fixed":
-        if value is None or value < 0:
-            raise ParameterError(f"fixed gamma value must be >= 0, got {value}")
+        if value is None or not 0 <= value < math.inf:
+            raise ParameterError(
+                f"{prefix}fixed gamma value must be >= 0 and finite, got {value}")
     elif mode != "auto":
-        raise ParameterError(f"unknown gamma mode {mode!r}")
-    elif not eps > 0:
-        raise ParameterError(f"eps={eps} must be > 0 in auto mode")
+        raise ParameterError(f"{prefix}unknown gamma mode {mode!r}")
+    elif not 0 < eps < math.inf:
+        raise ParameterError(f"{prefix}eps={eps} must be > 0 and finite in auto mode")
 
 
 @dataclass(frozen=True)
@@ -296,6 +297,13 @@ def _require_cumulant_counts(counts: dict, prefix: str = "") -> None:
         )
 
 
+def _check_q_grid(q_grid, prefix: str = "") -> None:
+    q = np.asarray(q_grid, dtype=np.float64).tolist()  # legendre divides by steps
+    if len(q) < 2 or not all(map(math.isfinite, q)) or len(set(q)) < len(q):
+        raise ParameterError(f"{prefix}q_grid: {q} must hold >= 2 finite, "
+                             "distinct values")
+
+
 def legendre_spectrum(zeta_pairs) -> np.ndarray:
     """Discrete Legendre transform D(h) = min_q (1 + q h - zeta(q)).
 
@@ -305,8 +313,9 @@ def legendre_spectrum(zeta_pairs) -> np.ndarray:
     and the reachable half is returned.
     """
     pairs = np.asarray(zeta_pairs, dtype=np.float64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
-        raise ParameterError("zeta_pairs must be an (n, 2) array with n >= 2")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ParameterError("zeta_pairs must be an (n, 2) array")
+    _check_q_grid(pairs[:, 0])
     order = np.argsort(pairs[:, 0])
     q = pairs[order, 0]
     zeta = pairs[order, 1]

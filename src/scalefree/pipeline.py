@@ -31,15 +31,18 @@ from . import __version__
 from .errors import (DataFormatError, EstimationError, ParameterError,
                      ScaleFreeError, ScaleRangeError)
 from .grouptests import (CLASSES, PARAMS, STATES, BatteryReport, GroupSummary,
-                         GroupTable, MapTaxonomy, aggregate, run_battery)
+                         GroupTable, MapTaxonomy, _check_alpha_levels,
+                         aggregate, run_battery)
 from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate, _check_gamma,
-                         _require_cumulant_counts, compute_leaders,
-                         multifractal_estimate)
-from .scaling import (WINDOWS, estimate_hurst, fit_loglog, fit_psd_powerlaw,
-                      scale_to_frequency, welch_psd, wavelet_spectrum)
+                         _check_q_grid, _require_cumulant_counts,
+                         compute_leaders, multifractal_estimate)
+from .scaling import (_check_welch, estimate_hurst, fit_loglog,
+                      fit_psd_powerlaw, scale_to_frequency, welch_psd,
+                      wavelet_spectrum)
 from .synth import GeneratorSpec, gen_fgn, gen_mrw
-from .wavelet import (MAX_VANISHING, MotherWavelet, Signal, build_wavelet,
-                      dwt, max_feasible_octave, sup_magnitudes)
+from .wavelet import (MAX_VANISHING, MotherWavelet, Signal, _check_rate,
+                      _check_vanishing, build_wavelet, dwt,
+                      max_feasible_octave, sup_magnitudes)
 
 DEFAULT_SYNTHETIC = {
     "subjects": 12,
@@ -118,35 +121,19 @@ class AnalysisConfig:
             raise ParameterError(f"invalid octave_range {self.octave_range}")
         if j2 - j1 < 2:
             raise ParameterError("octave_range must span at least 3 octaves")
-        if not 1 <= self.n_vanishing <= MAX_VANISHING:
-            raise ParameterError(f"config key n_vanishing: {self.n_vanishing} "
-                                 f"outside 1..{MAX_VANISHING}")
-        for a in self.alpha_levels:
-            if not 0.0 < a < 1.0:
-                raise ParameterError(f"alpha level {a} outside (0, 1)")
+        # each value by the rule of the layer that uses it
+        _check_vanishing(self.n_vanishing, "config key ")
+        _check_alpha_levels(self.alpha_levels, "config key ")
         if not 2 <= self.p_max <= MAX_P:  # c2 is a reported parameter
             raise ParameterError(f"p_max {self.p_max} outside 2..{MAX_P}")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
-        try:  # select_gamma's own rule on the three gamma values
-            _check_gamma(self.gamma_mode, self.gamma_value, self.gamma_eps)
-        except ParameterError as exc:
-            raise ParameterError(f"config key gamma: {exc}") from None
-        if self.welch_window not in WINDOWS:
-            raise ParameterError(f"config key welch.window: "
-                                 f"{self.welch_window!r} not one of {WINDOWS}")
-        segment = self.welch_segment_length
-        if segment is not None and segment < 2:
-            raise ParameterError(
-                f"config key welch.segment_length: {segment} must be >= 2")
-        if not 0.0 <= self.welch_overlap < 1.0:
-            raise ParameterError(f"config key welch.overlap_fraction: "
-                                 f"{self.welch_overlap} outside [0, 1)")
-        if len(self.q_grid) == 0:
-            raise ParameterError("config key q_grid: must not be empty")
-        if not self.sampling_rate > 0:
-            raise ParameterError(
-                f"config key sampling_rate: {self.sampling_rate} must be > 0")
+        _check_gamma(self.gamma_mode, self.gamma_value, self.gamma_eps,
+                     "config key gamma: ")
+        _check_welch(self.welch_segment_length, self.welch_overlap,
+                     self.welch_window, prefix="config key welch.")
+        _check_q_grid(self.q_grid, "config key ")
+        _check_rate(self.sampling_rate, "config key ")
         if (self.inputs is None) == (self.synthetic is None):
             raise ParameterError(
                 "config must set exactly one of 'inputs' and 'synthetic'"
@@ -582,9 +569,8 @@ def _require_feasible(n: int, config: AnalysisConfig) -> None:
     """The feasibility rule for n samples: octave j2 and a set Welch segment
     fit, and every octave in range keeps enough leaders for cumulants."""
     j1, j2 = config.octave_range
-    if (config.welch_segment_length or 0) > n:
-        raise ParameterError(f"config key welch.segment_length: "
-                             f"{config.welch_segment_length} exceeds {n} samples")
+    _check_welch(config.welch_segment_length, config.welch_overlap,
+                 config.welch_window, n, "config key welch.")
     feasible = max_feasible_octave(n, _wavelet(config.n_vanishing))
     if j2 > feasible:
         raise ScaleRangeError(

@@ -112,13 +112,7 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     n = x.size
     if segment_length is None:
         segment_length = default_segment_length(n)
-    if not 2 <= segment_length <= n:
-        raise ParameterError(
-            f"segment_length={segment_length} outside 2..{n} (signal length)")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ParameterError(f"overlap_fraction={overlap_fraction} outside [0, 1)")
-    if window not in WINDOWS:
-        raise ParameterError(f"window {window!r} not one of {WINDOWS}")
+    _check_welch(segment_length, overlap_fraction, window, n)
 
     noverlap = int(overlap_fraction * segment_length)
     step = segment_length - noverlap
@@ -142,6 +136,20 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     power = np.ascontiguousarray(power.T).mean(axis=-1)
     freqs = sp_fft.rfftfreq(segment_length, 1 / fs)
     return SpectrumEstimate(frequencies=freqs[1:], power=power[1:], method="welch")
+
+
+def _check_welch(segment_length: int | None, overlap_fraction: float, window: str,
+                 n: int | None = None, prefix: str = "") -> None:
+    """welch_psd's rule for its settings on n samples, or on any length if n
+    is None; a None segment_length (the default) passes."""
+    if segment_length is not None and not 2 <= segment_length <= (n or segment_length):
+        raise ParameterError(f"{prefix}segment_length: {segment_length} outside "
+                             f"2..{n or 'n'} (signal length)")
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise ParameterError(
+            f"{prefix}overlap_fraction: {overlap_fraction} outside [0, 1)")
+    if window not in WINDOWS:
+        raise ParameterError(f"{prefix}window: {window!r} not one of {WINDOWS}")
 
 
 @lru_cache(maxsize=8)

@@ -44,12 +44,17 @@ class Signal:
             raise ParameterError(
                 f"signal {self.label!r}: non-finite value at index {bad}"
             )
-        if not (self.sampling_rate > 0):
-            raise ParameterError(f"signal {self.label!r}: sampling_rate must be > 0")
+        _check_rate(self.sampling_rate, f"signal {self.label!r}: ")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self):
         return self.samples.size
+
+
+def _check_rate(sampling_rate: float, prefix: str = "") -> None:
+    if not 0 < sampling_rate < math.inf:
+        raise ParameterError(
+            f"{prefix}sampling_rate: {sampling_rate} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,14 @@ def _mirror(lowpass: np.ndarray) -> np.ndarray:
     return signs * lowpass[::-1]
 
 
+def _check_vanishing(n_vanishing: int, prefix: str = "") -> None:
+    if not isinstance(n_vanishing, (int, np.integer)) or isinstance(n_vanishing, bool):
+        raise ParameterError(f"{prefix}n_vanishing: {n_vanishing!r} not an integer")
+    if not 1 <= n_vanishing <= MAX_VANISHING:
+        raise ParameterError(
+            f"{prefix}n_vanishing: {n_vanishing} outside 1..{MAX_VANISHING}")
+
+
 def build_wavelet(n_vanishing: int) -> MotherWavelet:
     """Build the minimal-support Daubechies wavelet with the given number
     of vanishing moments.
@@ -148,12 +161,7 @@ def build_wavelet(n_vanishing: int) -> MotherWavelet:
     Raises:
         ParameterError: if n_vanishing is outside [1, 10].
     """
-    if not isinstance(n_vanishing, (int, np.integer)) or isinstance(n_vanishing, bool):
-        raise ParameterError("n_vanishing must be an integer")
-    if not 1 <= n_vanishing <= MAX_VANISHING:
-        raise ParameterError(
-            f"n_vanishing={n_vanishing} unsupported (valid range 1..{MAX_VANISHING})"
-        )
+    _check_vanishing(n_vanishing)
     lowpass = _daubechies_lowpass(int(n_vanishing))
     _check_filters(int(n_vanishing), lowpass)
     highpass = _mirror(lowpass)

@@ -1,5 +1,6 @@
 import csv
 import json
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ class TestSynthCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "power of two" in capsys.readouterr().err
+
+    def test_rejects_non_finite_rate(self, tmp_path, capsys):
+        for rate in ("inf", "nan", "0"):
+            code = main(["synth", "--kind", "fgn", "--hurst", "0.7",
+                         "--length", "1024", "--seed", "1", "--rate", rate,
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: --rate: sampling_rate: {float(rate)} "
+                "must be finite and > 0\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 def spectrum_bytes(rows):
@@ -95,8 +107,17 @@ class TestSpectrumCommand:
                          "--out", str(tmp_path / "x.csv")])
             err = capsys.readouterr().err
             assert code == 1
-            assert err == (f"error: segment_length={segment_length} "
+            assert err == (f"error: segment_length: {segment_length} "
                            "outside 2..4096 (signal length)\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rejects_non_finite_rate(self, tmp_path, signal_csv, capsys):
+        for method in ("welch", "wavelet"):
+            code = main(["spectrum", "--in", str(signal_csv), "--method",
+                         method, "--rate", "inf", "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: --rate: sampling_rate: inf must be finite and > 0\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_column(self, tmp_path, signal_csv, capsys):
@@ -144,6 +165,16 @@ class TestAnalyzeCommand:
             ({"synthetic": {}, "p_max": 1}, "p_max"),
             ({"synthetic": {"length": "2048"}}, "config key synthetic.length"),
             ({"inputs": {"subjects": []}}, "config key inputs.taxonomy"),
+            ({"inputs": {"taxonomy": "t.csv", "subjects": [
+                {"id": "a", "rest": 3, "task": "t.csv"}]}},
+             "config key inputs.subjects[0].rest: expected str, got 3\n"),
+            ({"inputs": {"taxonomy": "t.csv", "subjects": [
+                {"id": "a", "rest": "r.csv", "task": "t.csv"},
+                {"id": 1.5, "rest": "r.csv", "task": "t.csv"}]}},
+             "config key inputs.subjects[1].id: expected str | int, got 1.5\n"),
+            ({"inputs": {"taxonomy": "t.csv", "subjects": [
+                {"id": "a", "rest": "r.csv"}]}},
+             "config key inputs.subjects[0].task: expected str, got None\n"),
             ({"synthetic": {"subjects": 3, "length": 512}, "output_dir": out},
              "largest workable j2 is 5"),
             ('{"synthetic": {}', "line 1"),
@@ -164,12 +195,13 @@ class TestAnalyzeCommand:
             ({"synthetic": {}, "sampling_rate": 0}, "config key sampling_rate"),
             ({"synthetic": {}, "seed": -1}, "config key seed"),
             ({"synthetic": {}, "welch": {"segment_length": 0}},
-             "config key welch.segment_length: 0 must be >= 2"),
+             "config key welch.segment_length: 0 outside 2..n (signal length)"),
             ({"synthetic": {}, "welch": {"segment_length": 1}},
-             "config key welch.segment_length: 1 must be >= 2"),
+             "config key welch.segment_length: 1 outside 2..n (signal length)"),
             ({"synthetic": {"subjects": 3, "length": 1024},
               "welch": {"segment_length": 4096}, "output_dir": out},
-             "config key welch.segment_length: 4096 exceeds 1024 samples"),
+             "config key welch.segment_length: 4096 outside 2..1024 "
+             "(signal length)"),
             ({"synthetic": {}, "n_vanishing": 0, "output_dir": out},
              "config key n_vanishing: 0 outside 1..10"),
             ({"synthetic": {}, "n_vanishing": 11, "output_dir": out},
@@ -190,6 +222,29 @@ class TestAnalyzeCommand:
              "config key synthetic.length: length=1000 is not a power of two"),
             ({"synthetic": {"subjects": 0}, "output_dir": out},
              "config key synthetic.subjects: 0 must be >= 1"),
+            # non-finite values, a q grid the Legendre transform cannot
+            # use, and alpha levels outside (0, 1)
+            ({"synthetic": {}, "gamma": {"value": nan}, "output_dir": out},
+             "config key gamma: fixed gamma value must be >= 0 and finite, "
+             "got nan"),
+            ({"synthetic": {}, "gamma": {"value": inf}, "output_dir": out},
+             "config key gamma: fixed gamma value must be >= 0 and finite, "
+             "got inf"),
+            ({"synthetic": {}, "gamma": {"mode": "auto", "eps": inf},
+              "output_dir": out},
+             "config key gamma: eps=inf must be > 0 and finite in auto mode"),
+            ({"synthetic": {}, "sampling_rate": inf, "output_dir": out},
+             "config key sampling_rate: inf must be finite and > 0"),
+            ({"synthetic": {}, "q_grid": [nan, 1, 2], "output_dir": out},
+             "config key q_grid: [nan, 1.0, 2.0] must hold >= 2 finite, "
+             "distinct values"),
+            ({"synthetic": {}, "q_grid": [1, 1, 2], "output_dir": out},
+             "config key q_grid: [1.0, 1.0, 2.0] must hold >= 2 finite, "
+             "distinct values"),
+            ({"synthetic": {}, "q_grid": [2], "output_dir": out},
+             "config key q_grid: [2.0] must hold >= 2 finite, distinct values"),
+            ({"synthetic": {}, "alpha_levels": [0, 7], "output_dir": out},
+             "config key alpha_levels: 0 outside (0, 1)"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for cfg, named in cases:
@@ -197,6 +252,7 @@ class TestAnalyzeCommand:
             assert main(["analyze", "--config", str(cfg_path)]) == 1, cfg
             err = capsys.readouterr().err
             assert err.startswith("error:") and named in err, (cfg, err)
+            assert err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()  # no case opened an output
 
 
@@ -233,6 +289,15 @@ class TestBatteryCommand:
         battery = json.loads((out_dir / "group_report.json").read_text())["battery"]
         assert report_path.read_bytes() == (
             json.dumps(battery, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+    def test_alpha_outside_0_1_rejected_before_reading(self, tmp_path, capsys):
+        code = main(["battery", "--estimates", str(tmp_path / "none.csv"),
+                     "--taxonomy", str(tmp_path / "none.csv"),
+                     "--alpha", "0", "7", "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --alpha: alpha_levels: 0.0 outside (0, 1)\n")
+        assert not (tmp_path / "b.json").exists()
 
     def test_bad_estimates_cell_located(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -11,7 +11,7 @@ from scalefree.grouptests import (CLASSES, PARAMS, STATES, GroupTable,
                                   MapTaxonomy, aggregate, anova_decomposition,
                                   bonferroni, one_sample_t, paired_t_two_state,
                                   rm_anova_2way, run_battery,
-                                  wilcoxon_signed_rank)
+                                  WSR_EXACT_MAX_N, wilcoxon_signed_rank)
 
 from oracles import anova_by_hand, wsr_brute_force
 
@@ -234,6 +234,23 @@ class TestWilcoxon:
         ref = sp_stats.wilcoxon(x, alternative="greater", mode="exact")
         assert res.p_value == pytest.approx(ref.pvalue, abs=1e-12)
 
+    @pytest.mark.parametrize("sidedness, alternative", [
+        ("greater", "greater"), ("less", "less"), ("two", "two-sided")])
+    def test_normal_approximation_equals_scipy_with_ties(self, sidedness,
+                                                         alternative):
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(100):  # more than WSR_EXACT_MAX_N nonzero, tied
+            n = int(rng.integers(WSR_EXACT_MAX_N + 1, 40))
+            d = rng.integers(1, 6, n) * rng.choice([-1.0, 1.0], n)
+            cases.append(np.concatenate([d, np.zeros(rng.integers(0, 3))]))
+        cases.append(np.array([1.0, -1.0] * 7))  # W+ = n(n+1)/4: two-sided p 1
+        for d in cases:
+            res = wilcoxon_signed_rank(d, 0.0, sidedness)
+            ref = sp_stats.wilcoxon(d, zero_method="wilcox", correction=True,
+                                    method="approx", alternative=alternative)
+            assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12)
+
 
 class TestBonferroni:
     def test_examples(self):
@@ -380,6 +397,13 @@ class TestAnova:
 
 
 class TestBattery:
+    def test_alpha_levels_outside_0_1_rejected(self):
+        for levels, bad in (((0.0, 7.0), "0.0"), ((0.05, 1.0), "1.0"),
+                            ((math.nan,), "nan")):
+            with pytest.raises(ParameterError) as exc:
+                run_battery(random_table(0), alpha_levels=levels)
+            assert str(exc.value) == f"alpha_levels: {bad} outside (0, 1)"
+
     def test_structure_and_labels(self):
         table = random_table(0)
         report = run_battery(table)

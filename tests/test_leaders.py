@@ -86,6 +86,20 @@ class TestSelectGamma:
         with pytest.raises(ParameterError):
             select_gamma(-0.1, mode="auto", eps=0.0)
 
+    def test_non_finite_values_rejected(self):
+        cases = [
+            ({"mode": "fixed", "value": math.nan},
+             "fixed gamma value must be >= 0 and finite, got nan"),
+            ({"mode": "fixed", "value": math.inf},
+             "fixed gamma value must be >= 0 and finite, got inf"),
+            ({"mode": "auto", "eps": math.inf},
+             "eps=inf must be > 0 and finite in auto mode"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ParameterError) as exc:
+                select_gamma(-0.3, **kwargs)
+            assert str(exc.value) == message
+
     @given(st.floats(-5, 5, allow_nan=False), st.floats(0.01, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_auto_mode_lifts_regularity_above_zero(self, h_min, eps):
@@ -368,6 +382,15 @@ class TestSpectra:
         inner = (dh[:, 0] >= lo + 1e-9) & (dh[:, 0] <= hi - 1e-9)
         closed_form = 1 - (dh[inner, 0] - 0.75) ** 2 / 0.14
         assert np.max(np.abs(dh[inner, 1] - closed_form)) <= 1e-3
+
+    def test_legendre_needs_two_finite_distinct_q(self):
+        for q in ([2.0], [math.nan, 1.0, 2.0], [1.0, 1.0, 2.0],
+                  [-math.inf, 1.0]):
+            pairs = np.column_stack([q, np.multiply(0.6, q)])
+            with pytest.raises(ParameterError) as exc:
+                legendre_spectrum(pairs)
+            assert str(exc.value) == (
+                f"q_grid: {q} must hold >= 2 finite, distinct values")
 
     def test_legendre_single_signed_grid_warns(self):
         pairs = np.array([[q, 0.6 * q] for q in (0.5, 1.0, 2.0, 3.0)])

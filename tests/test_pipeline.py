@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from pathlib import Path
@@ -11,14 +12,16 @@ import pytest
 from scalefree import pipeline
 from scalefree.errors import (DataFormatError, DegenerateInputError,
                               ParameterError, ScaleRangeError)
-from scalefree.leaders_mf import compute_leaders
+from scalefree.grouptests import GroupTable, run_battery
+from scalefree.leaders_mf import compute_leaders, legendre_spectrum, select_gamma
 from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
                                 analyze_series, load_dataset,
                                 load_estimates_csv, load_taxonomy,
                                 project_onto_maps, run_full_analysis,
                                 synthetic_taxonomy)
 from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw
-from scalefree.wavelet import Signal, dwt
+from scalefree.scaling import welch_psd
+from scalefree.wavelet import Signal, build_wavelet, dwt
 
 from oracles import csv_outputs_by_csv_writer
 
@@ -96,6 +99,46 @@ class TestConfig:
         with pytest.raises(ParameterError,
                            match=r"config key synthetic\.rest_hurst\.U: hurst"):
             AnalysisConfig(synthetic={"rest_hurst": {"U": 1.5}})
+
+    def test_config_and_layer_apply_one_rule(self):
+        """A value the config rejects, the layer that uses it rejects with
+        the same message; the config only puts "config key ..." first."""
+        def config(**fields):
+            return lambda: AnalysisConfig(synthetic={}, **fields)
+
+        table = GroupTable(np.zeros((3, 3, 2, 3)), synthetic_taxonomy(1, 1, 1),
+                           ("a", "b", "c"))
+        signal = Signal(np.ones(64), 1.0)
+        cases = [  # (config call, its prefix, layer call, its prefix)
+            (config(n_vanishing=11), "config key ", lambda: build_wavelet(11),
+             ""),
+            (config(sampling_rate=math.inf), "config key ",
+             lambda: Signal(np.zeros(8), math.inf, "x"), "signal 'x': "),
+            (config(welch_overlap=1.5), "config key welch.",
+             lambda: welch_psd(signal, overlap_fraction=1.5), ""),
+            (config(welch_window="flat"), "config key welch.",
+             lambda: welch_psd(signal, window="flat"), ""),
+            # the segment's upper bound needs the length: the run-level rule
+            (lambda: pipeline._require_feasible(64, AnalysisConfig(
+                synthetic={}, welch_segment_length=100)), "config key welch.",
+             lambda: welch_psd(signal, segment_length=100), ""),
+            (config(gamma_value=math.nan), "config key gamma: ",
+             lambda: select_gamma(0.1, "fixed", math.nan), ""),
+            (config(q_grid=(1.0, 1.0, 2.0)), "config key ",
+             lambda: legendre_spectrum([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+             ""),
+            (config(alpha_levels=(0.05, 7.0)), "config key ",
+             lambda: run_battery(table, (0.05, 7.0)), ""),
+        ]
+        for config_call, config_prefix, layer_call, layer_prefix in cases:
+            with pytest.raises(ParameterError) as config_exc:
+                config_call()
+            with pytest.raises(ParameterError) as layer_exc:
+                layer_call()
+            config_msg, layer_msg = str(config_exc.value), str(layer_exc.value)
+            assert config_msg.startswith(config_prefix), config_msg
+            assert layer_msg.startswith(layer_prefix), layer_msg
+            assert config_msg[len(config_prefix):] == layer_msg[len(layer_prefix):]
 
     def test_gamma_json_nesting(self):
         cfg = AnalysisConfig.from_dict(
@@ -445,6 +488,41 @@ class TestRunFullAnalysis:
             for k, cls in enumerate(classes):
                 expected = pipeline._synthetic_samples(cfg, s_idx, k, j, cls)
                 assert np.array_equal(matrix[:, k], expected)
+
+    def test_class_without_lambda2_is_fgn(self):
+        cfg = AnalysisConfig(synthetic={"maps": {"F": 1, "A": 1, "U": 0},
+                                        "lambda2": {"F": 0.0}}, seed=6)
+        fgn = pipeline._synthetic_samples(cfg, 1, 0, 1, "F")
+        expected = gen_fgn(GeneratorSpec(
+            "fgn", 0.7, 2048, seed=pipeline._series_seed(6, 1, 0, 1))).samples
+        assert np.array_equal(fgn, expected)
+        mrw = pipeline._synthetic_samples(cfg, 1, 1, 1, "A")
+        walk = gen_mrw(GeneratorSpec("mrw", 0.65, 2048, lambda2=0.03,
+                                     seed=pipeline._series_seed(6, 1, 1, 1)))
+        assert np.array_equal(mrw, np.diff(walk.samples, prepend=0.0))
+
+    def test_welch_segment_of_whole_series_gives_nan_welch_beta(self, tmp_path):
+        """One segment is too few for Welch; the cross-check is NaN and
+        every other estimate is unchanged."""
+        out = tmp_path / "out"
+        base = dict(synthetic={"subjects": 3, "length": 1024,
+                               "maps": {"F": 2, "A": 1, "U": 1}},
+                    seed=2, output_dir=str(tmp_path / "base"))
+        report = run_full_analysis(AnalysisConfig(**base))
+        cfg = AnalysisConfig(**{**base, "output_dir": str(out)},
+                             welch_segment_length=1024)
+        whole = run_full_analysis(cfg)
+        assert not whole.failures and len(whole.results) == 24
+        with open(out / "estimates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 24
+        assert all(r["status"] == "ok" and r["welch_beta"] == "nan"
+                   for r in rows)
+        for key, e in whole.results.items():
+            assert math.isnan(e.diagnostics["welch_beta"])
+            assert (e.c1, e.c2, e.hurst) == (report.results[key].c1,
+                                             report.results[key].c2,
+                                             report.results[key].hurst)
 
     def test_synthetic_tasks_carry_recipes_not_samples(self, monkeypatch):
         def unexpected(*args, **kwargs):

@@ -148,6 +148,15 @@ class TestEstimateHurst:
             estimates.append(hurst.hurst)
         assert abs(np.mean(estimates) - 0.7) <= 0.03
 
+    def test_weighted_fit_weights_octaves_by_valid_counts(self, db3):
+        pyramid = dwt(gen_fgn(GeneratorSpec("fgn", 0.7, 2**12, seed=4)), db3, 7)
+        for j1, j2 in ((3, 6), (2, 7)):
+            fit, hurst = hurst_from_pyramid(pyramid, j1, j2, weighted=True)
+            ref = fit_loglog(wavelet_spectrum(pyramid).octave_pairs(), j1, j2,
+                             weights=pyramid.n_valid[j1 - 1:j2])
+            assert fit == ref and hurst == estimate_hurst(ref)
+            assert fit != hurst_from_pyramid(pyramid, j1, j2)[0]
+
 
 class TestWelch:
     def test_sinusoid_peak_at_f0(self):

@@ -23,6 +23,13 @@ class TestSignal:
         with pytest.raises(ParameterError, match="sampling_rate"):
             Signal(np.zeros(16), 0.0)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ParameterError) as exc:
+            Signal(np.zeros(16), rate, "s")
+        assert str(exc.value) == (
+            f"signal 's': sampling_rate: {rate} must be finite and > 0")
+
 
 class TestBuildWavelet:
     def test_haar_is_unique_n1_case(self):
