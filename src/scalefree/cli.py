@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScaleFreeError, OSError, json.JSONDecodeError) as exc:
+    except (ScaleFreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

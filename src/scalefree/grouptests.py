@@ -27,6 +27,13 @@ SIDEDNESS = ("greater", "less", "two")
 TAG_LEVELS = {"F": "network", "A": "artifact"}  # the level a class's tags name
 
 
+def _check_class(cls: str, prefix: str = "") -> None:
+    """Raise DataFormatError, message prefixed, unless cls is in CLASSES."""
+    if cls not in CLASSES:
+        raise DataFormatError(
+            f"{prefix}unknown class {cls!r} (expected one of {CLASSES})")
+
+
 @dataclass(frozen=True)
 class MapTaxonomy:
     """Per-map F/A/U class plus optional network or artifact-type tag."""
@@ -38,10 +45,7 @@ class MapTaxonomy:
         if len(self.classes) != len(self.tags):
             raise DataFormatError("classes and tags must have equal length")
         for i, c in enumerate(self.classes):
-            if c not in CLASSES:
-                raise DataFormatError(
-                    f"map {i + 1}: unknown class {c!r} (expected one of {CLASSES})"
-                )
+            _check_class(c, f"map {i + 1}: ")
 
     @property
     def n_maps(self) -> int:

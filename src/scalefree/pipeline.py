@@ -32,14 +32,14 @@ from .errors import (DataFormatError, EstimationError, ParameterError,
                      ScaleFreeError, ScaleRangeError)
 from .grouptests import (CLASSES, PARAMS, STATES, BatteryReport, GroupSummary,
                          GroupTable, MapTaxonomy, _check_alpha_levels,
-                         aggregate, run_battery)
+                         _check_class, aggregate, run_battery)
 from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate, _check_gamma,
                          _check_q_grid, _require_cumulant_counts,
                          compute_leaders, multifractal_estimate)
 from .scaling import (_check_welch, estimate_hurst, fit_loglog,
                       fit_psd_powerlaw, scale_to_frequency, welch_psd,
                       wavelet_spectrum)
-from .synth import GeneratorSpec, gen_fgn, gen_mrw
+from .synth import GeneratorSpec, generate
 from .wavelet import (MAX_VANISHING, MotherWavelet, Signal, _check_rate,
                       _check_vanishing, build_wavelet, dwt,
                       max_feasible_octave, sup_magnitudes)
@@ -79,6 +79,16 @@ def _check(value, hint, path: str) -> None:
         expected = str(hint) if typing.get_args(hint) else hint.__name__
         raise DataFormatError(
             f"config key {path}: expected {expected}, got {value!r}")
+
+
+def _check_entry(entry: dict, keys: dict, path: str) -> None:
+    """Raise DataFormatError naming the key path of the first key of entry
+    not in keys, or of the first value that does not fit keys[key]."""
+    unknown = sorted(set(entry) - set(keys))
+    if unknown:
+        raise DataFormatError(f"unknown config key {path}.{unknown[0]}")
+    for key, hint in keys.items():
+        _check(entry.get(key), hint, f"{path}.{key}")
 
 
 # JSON sections whose keys map onto prefixed AnalysisConfig fields.
@@ -174,17 +184,21 @@ class AnalysisConfig:
         for name, value in data.items():
             _check(value, hints[name], paths.get(name, name))
         if data.get("inputs") is not None:
-            for key, hint in _INPUTS_KEYS.items():
-                _check(data["inputs"].get(key), hint, f"inputs.{key}")
+            _check_entry(data["inputs"], _INPUTS_KEYS, "inputs")
             for i, entry in enumerate(data["inputs"]["subjects"]):
-                for key, hint in _SUBJECT_KEYS.items():
-                    _check(entry.get(key), hint, f"inputs.subjects[{i}].{key}")
+                _check_entry(entry, _SUBJECT_KEYS, f"inputs.subjects[{i}]")
         return cls(**data)
 
     @classmethod
     def from_json(cls, path) -> "AnalysisConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """from_dict of a JSON file; text that does not parse raises
+        DataFormatError naming the file."""
+        with _utf8(path) as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}: {exc}") from None
+        return cls.from_dict(raw)
 
     def canonical_json(self) -> str:
         """Analysis-relevant fields only: where the outputs go and how many
@@ -275,10 +289,22 @@ class Dataset:
 
 
 @contextmanager
+def _utf8(path, newline=None):
+    """path open as UTF-8 text, the one way an input file is read: a byte
+    that does not decode raises DataFormatError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
 def _csv_rows(path):
     """Yield the stripped header of a CSV file (DataFormatError if empty)
     and an iterator of (line_no, cells) over its non-blank rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -310,6 +336,7 @@ def load_taxonomy(path) -> MapTaxonomy:
             if k in classes:
                 raise DataFormatError(f"{path}:{line_no}: duplicate map_index {k}")
             classes[k] = row[1].strip()
+            _check_class(classes[k], f"{path}:{line_no}: ")
             tags[k] = row[2].strip() if len(row) > 2 else ""
     if not classes:
         raise DataFormatError(f"{path}: taxonomy is empty")
@@ -373,19 +400,19 @@ def load_dataset(config: AnalysisConfig) -> Dataset:
     subjects = []
     runs = {}
     lengths = {}
-    for entry in inputs["subjects"]:
+    for i, entry in enumerate(inputs["subjects"]):
         sid = str(entry["id"])
         if sid in subjects:
-            raise DataFormatError(f"duplicate subject id {sid!r}")
+            raise DataFormatError(
+                f"config key inputs.subjects[{i}].id: duplicate subject id {sid!r}")
         subjects.append(sid)
         for state in STATES:
             matrix = _load_run_csv(entry[state], taxonomy.n_maps)
             n = matrix.shape[0]
             if state in lengths and lengths[state] != n:
                 raise DataFormatError(
-                    f"subject {sid!r} {state} run has {n} samples; previous "
-                    f"subjects have {lengths[state]}"
-                )
+                    f"{entry[state]}: {n} samples; the {state} runs of "
+                    f"previous subjects have {lengths[state]}")
             lengths[state] = n
             runs[(sid, state)] = matrix
     if not subjects:
@@ -500,16 +527,13 @@ def _synthetic_samples(config: AnalysisConfig, subject_idx: int, map_idx: int,
     syn = config.synthetic
     hurst = (syn["rest_hurst"] if state_idx == 0 else syn["task_hurst"])[cls]
     lambda2 = syn["lambda2"][cls]
-    seed = _series_seed(config.seed, subject_idx, map_idx, state_idx)
-    n = syn["length"]
-    if lambda2 > 0:
-        walk = gen_mrw(GeneratorSpec(
-            kind="mrw", hurst=hurst, length=n, seed=seed, lambda2=lambda2,
-            sampling_rate=config.sampling_rate))
-        return np.diff(walk.samples, prepend=0.0)
-    return gen_fgn(GeneratorSpec(
-        kind="fgn", hurst=hurst, length=n, seed=seed,
-        sampling_rate=config.sampling_rate)).samples
+    spec = GeneratorSpec(
+        kind="mrw" if lambda2 > 0 else "fgn", hurst=hurst,
+        length=syn["length"], lambda2=lambda2,
+        seed=_series_seed(config.seed, subject_idx, map_idx, state_idx),
+        sampling_rate=config.sampling_rate)
+    samples = generate(spec).samples
+    return np.diff(samples, prepend=0.0) if spec.kind == "mrw" else samples
 
 
 def _run_one(task) -> list:

@@ -27,10 +27,10 @@ KINDS = ("fgn", "fbm", "mrw")
 class GeneratorSpec:
     """Parameters of one synthetic realization.
 
-    length is a power of two (circulant embedding requirement); lambda2 is
-    the cascade intermittency (mrw only); integral_scale is the correlation
-    horizon of the log-weight field in samples (mrw only, defaults to the
-    signal length).
+    length is a power of two (circulant embedding requirement); seed is an
+    integer >= 0; lambda2 is the cascade intermittency (mrw only);
+    integral_scale is the correlation horizon of the log-weight field in
+    samples (mrw only, defaults to the signal length).
     """
 
     kind: str
@@ -51,9 +51,14 @@ class GeneratorSpec:
         if self.length & (self.length - 1):
             raise ParameterError(f"length={self.length} is not a power of two "
                                  "(circulant embedding requirement)")
+        if (not isinstance(self.seed, (int, np.integer))
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ParameterError(f"seed={self.seed!r} must be an integer >= 0")
         if self.kind in ("fgn", "fbm"):
             if self.lambda2 not in (0, 0.0):
                 raise ParameterError(f"{self.kind} takes no lambda2")
+            if self.integral_scale is not None:
+                raise ParameterError(f"{self.kind} takes no integral_scale")
         else:
             # lambda2 = 0 is the degenerate cascade (reduces to fgn increments).
             if not 0.0 <= self.lambda2 <= 0.5:
@@ -131,6 +136,27 @@ def _circulant_draw(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return sample.real[:n]
 
 
+def generate(spec: GeneratorSpec) -> Signal:
+    """The realization of spec, the one generator body: exact fGn drawn on
+    the seed's stream, its cumulative sum for fbm, or for mrw the walk of
+    the fGn weighted by exp(omega), omega drawn on a child stream."""
+    n = spec.length
+    samples = _circulant_draw(_fgn_root(spec.hurst, n),
+                              np.random.default_rng(spec.seed))
+    if spec.kind == "fbm":
+        samples = np.cumsum(samples)
+    elif spec.kind == "mrw":
+        scale = n if spec.integral_scale is None else spec.integral_scale
+        omega = _circulant_draw(
+            _omega_root(spec.lambda2, scale, n),
+            np.random.default_rng([_OMEGA_STREAM_TAG, spec.seed]))
+        omega += -0.5 * spec.lambda2 * math.log(scale)
+        samples = np.cumsum(samples * np.exp(omega))
+    l2 = f"l2={spec.lambda2}," if spec.kind == "mrw" else ""
+    return Signal(samples, spec.sampling_rate,
+                  label=f"{spec.kind}(H={spec.hurst},{l2}seed={spec.seed})")
+
+
 def gen_fgn(spec: GeneratorSpec) -> Signal:
     """Exact unit-variance fractional Gaussian noise.
 
@@ -141,10 +167,7 @@ def gen_fgn(spec: GeneratorSpec) -> Signal:
     """
     if spec.kind != "fgn":
         raise ParameterError(f"gen_fgn called with kind={spec.kind!r}")
-    rng = np.random.default_rng(spec.seed)
-    samples = _circulant_draw(_fgn_root(spec.hurst, spec.length), rng)
-    return Signal(samples, spec.sampling_rate,
-                  label=f"fgn(H={spec.hurst},seed={spec.seed})")
+    return generate(spec)
 
 
 def gen_fbm(spec: GeneratorSpec) -> Signal:
@@ -155,11 +178,7 @@ def gen_fbm(spec: GeneratorSpec) -> Signal:
     """
     if spec.kind != "fbm":
         raise ParameterError(f"gen_fbm called with kind={spec.kind!r}")
-    rng = np.random.default_rng(spec.seed)
-    root = _fgn_root(spec.hurst, spec.length)
-    samples = np.cumsum(_circulant_draw(root, rng))
-    return Signal(samples, spec.sampling_rate,
-                  label=f"fbm(H={spec.hurst},seed={spec.seed})")
+    return generate(spec)
 
 
 def gen_mrw(spec: GeneratorSpec) -> Signal:
@@ -174,30 +193,7 @@ def gen_mrw(spec: GeneratorSpec) -> Signal:
     """
     if spec.kind != "mrw":
         raise ParameterError(f"gen_mrw called with kind={spec.kind!r}")
-    n = spec.length
-    scale = n if spec.integral_scale is None else spec.integral_scale
-
-    rng_eps = np.random.default_rng(spec.seed)
-    eps = _circulant_draw(_fgn_root(spec.hurst, n), rng_eps)
-
-    rng_omega = np.random.default_rng([_OMEGA_STREAM_TAG, spec.seed])
-    omega = _circulant_draw(_omega_root(spec.lambda2, scale, n), rng_omega)
-    omega += -0.5 * spec.lambda2 * math.log(scale)
-
-    samples = np.cumsum(eps * np.exp(omega))
-    return Signal(
-        samples, spec.sampling_rate,
-        label=f"mrw(H={spec.hurst},l2={spec.lambda2},seed={spec.seed})",
-    )
-
-
-def generate(spec: GeneratorSpec) -> Signal:
-    """Dispatch on spec.kind."""
-    if spec.kind == "fgn":
-        return gen_fgn(spec)
-    if spec.kind == "fbm":
-        return gen_fbm(spec)
-    return gen_mrw(spec)
+    return generate(spec)
 
 
 def theoretical_zeta(spec: GeneratorSpec, q: float) -> float:

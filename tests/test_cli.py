@@ -54,6 +54,23 @@ class TestSynthCommand:
                 "must be finite and > 0\n")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_rejects_seed_and_integral_scale_the_kind_cannot_use(
+            self, tmp_path, capsys):
+        cases = [  # (arguments, the error line)
+            (["--kind", "fgn", "--seed", "-1"],
+             "error: seed=-1 must be an integer >= 0\n"),
+            (["--kind", "fbm", "--seed", "1", "--integral-scale", "5"],
+             "error: fbm takes no integral_scale\n"),
+            (["--kind", "fgn", "--seed", "1", "--integral-scale", "5"],
+             "error: fgn takes no integral_scale\n"),
+        ]
+        for args, line in cases:
+            code = main(["synth", *args, "--hurst", "0.7", "--length", "64",
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == line
+        assert not (tmp_path / "x.csv").exists()
+
 
 def spectrum_bytes(rows):
     """The spectrum command's file for rows, by csv.writer and fmt."""
@@ -126,6 +143,14 @@ class TestSpectrumCommand:
         assert code == 1
         assert "no column" in capsys.readouterr().err
 
+    def test_column_index_out_of_range(self, tmp_path, signal_csv, capsys):
+        code = main(["spectrum", "--in", str(signal_csv), "--column", "7",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {signal_csv}: column index 7 out of range\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_cell_located(self, tmp_path, signal_csv, capsys):
         lines = signal_csv.read_text().splitlines()
         cases = [  # (line 5 of the file, the error it must end in)
@@ -177,7 +202,7 @@ class TestAnalyzeCommand:
              "config key inputs.subjects[0].task: expected str, got None\n"),
             ({"synthetic": {"subjects": 3, "length": 512}, "output_dir": out},
              "largest workable j2 is 5"),
-            ('{"synthetic": {}', "line 1"),
+            ('{"synthetic": {}', "cfg.json: Expecting ',' delimiter: line 1"),
             # values every series would reject fail before any series runs
             ({"synthetic": {}, "gamma": {"mode": "foo"}},
              "config key gamma: unknown gamma mode 'foo'"),
@@ -245,6 +270,15 @@ class TestAnalyzeCommand:
              "config key q_grid: [2.0] must hold >= 2 finite, distinct values"),
             ({"synthetic": {}, "alpha_levels": [0, 7], "output_dir": out},
              "config key alpha_levels: 0 outside (0, 1)"),
+            # every config section rejects an unknown key
+            ({"inputs": {"taxonomy": "t.csv", "subjects": [],
+                         "expected_class_count": [25, 13, 4]},
+              "output_dir": out},
+             "error: unknown config key inputs.expected_class_count\n"),
+            ({"inputs": {"taxonomy": "t.csv", "subjects": [
+                {"id": "a", "rest": "r.csv", "rset": "r.csv",
+                 "task": "t.csv"}]}, "output_dir": out},
+             "error: unknown config key inputs.subjects[0].rset\n"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for cfg, named in cases:
@@ -254,6 +288,64 @@ class TestAnalyzeCommand:
             assert err.startswith("error:") and named in err, (cfg, err)
             assert err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()  # no case opened an output
+
+
+class TestInputFiles:
+    """Each input file a command reads: one error: line naming the file,
+    exit 1, no traceback and no output."""
+
+    @pytest.fixture()
+    def study(self, tmp_path):
+        tax = tmp_path / "tax.csv"
+        tax.write_text("map_index,class,network_or_artifact\n"
+                       "1,F,Att\n2,A,Ven\n3,U,\n")
+        run = tmp_path / "run.csv"
+        run.write_text("t,map_1,map_2,map_3\n"
+                       + "".join(f"{i},{i},{-i},{i * i}\n" for i in range(8)))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "inputs": {"taxonomy": str(tax),
+                       "subjects": [{"id": "a", "rest": str(run),
+                                     "task": str(run)}]},
+            "output_dir": str(tmp_path / "out")}))
+        return tax, run, config
+
+    def run_fails(self, tmp_path, capsys, argv, named):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "x.out").exists()
+        return err
+
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys, study):
+        tax, run, config = study
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,value\n0,\xff\n")
+        cases = [  # (argv, the file the error names)
+            (["analyze", "--config", str(config)], run),
+            (["analyze", "--config", str(bad)], bad),
+            (["battery", "--estimates", str(bad), "--taxonomy", str(tax),
+              "--out", str(tmp_path / "x.out")], bad),
+            (["battery", "--estimates", str(bad), "--taxonomy", str(bad),
+              "--out", str(tmp_path / "x.out")], bad),
+            (["spectrum", "--in", str(bad), "--out", str(tmp_path / "x.out")],
+             bad),
+        ]
+        run.write_bytes(run.read_bytes() + b"8,\xff,0,0\n")
+        for argv, named in cases:
+            err = self.run_fails(tmp_path, capsys, argv, named)
+            assert err == (f"error: {named}: not UTF-8 text "
+                           "(invalid start byte)\n")
+
+    def test_unknown_taxonomy_class_located(self, tmp_path, capsys, study):
+        tax, _, config = study
+        tax.write_text(tax.read_text().replace("2,A,", "2,X,"))
+        err = self.run_fails(tmp_path, capsys,
+                             ["analyze", "--config", str(config)], tax)
+        assert err == (f"error: {tax}:3: unknown class 'X' "
+                       "(expected one of ('F', 'A', 'U'))\n")
 
 
 class TestBatteryCommand:

@@ -3,11 +3,15 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalefree import pipeline
 from scalefree.errors import (DataFormatError, DegenerateInputError,
@@ -181,8 +185,9 @@ class TestLoadDataset:
         inputs = write_fixture_dataset(tmp_path)
         tax = Path(inputs["taxonomy"])
         tax.write_text(tax.read_text().replace("F,", "Z,"))
-        with pytest.raises(DataFormatError, match="unknown class"):
+        with pytest.raises(DataFormatError) as info:
             load_dataset(AnalysisConfig(inputs=inputs))
+        assert str(info.value).startswith(f"{tax}:2: unknown class 'Z'")
 
     def test_header_mismatch(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
@@ -211,14 +216,206 @@ class TestLoadDataset:
         path = Path(inputs["subjects"][1]["rest"])
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(DataFormatError, match="samples"):
+        with pytest.raises(DataFormatError) as info:
             load_dataset(AnalysisConfig(inputs=inputs))
+        assert str(info.value) == (
+            f"{path}: 59 samples; the rest runs of previous subjects have 64")
 
     def test_expected_counts_enforced(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
         inputs["expected_class_counts"] = [25, 13, 4]
         with pytest.raises(DataFormatError, match="cardinalities"):
             load_dataset(AnalysisConfig(inputs=inputs))
+
+
+def write_rows(path: Path, rows) -> Path:
+    """rows of byte cells as a CSV file, one line each."""
+    path.write_bytes(b"".join(b",".join(row) + b"\n" for row in rows))
+    return path
+
+
+def read_rows(path: Path) -> list:
+    """The non-blank rows after the header, as csv.reader parses them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row for row in list(csv.reader(fh))[1:]
+                if any(c.strip() for c in row)]
+
+
+TAXONOMY_ROWS = [[b"map_index", b"class", b"network_or_artifact"],
+                 [b"1", b"F", b"Att"], [b"2", b"A", b"Ven"], [b"3", b"U", b""]]
+RUN_ROWS = ([[b"t", b"map_1", b"map_2", b"map_3"]]
+            + [[b"%d" % i, b"%.17g" % (0.5 * i), b"%d" % -i, b"1e-3"]
+               for i in range(6)])
+ESTIMATE_COLUMNS = ["subject", "map", "state", "status", "c1", "c2", "hurst",
+                    "error"]
+
+
+def estimate_rows(subjects=("s1", "s2", "s3", "s4")) -> list:
+    """A valid estimates CSV for TAXONOMY_ROWS' maps, as byte cells."""
+    rows = [[c.encode() for c in ESTIMATE_COLUMNS]]
+    for i, sid in enumerate(subjects):
+        for k, label in enumerate(("f_1", "a_1", "u_1")):
+            for j, state in enumerate(("rest", "task")):
+                rows.append([sid.encode(), label.encode(), state.encode(), b"ok",
+                             b"%.17g" % (0.1 * i + k), b"%.17g" % (-0.01 * j),
+                             b"%.17g" % (0.7 + 0.01 * k), b""])
+    return rows
+
+
+class TestIngestErrors:
+    """Each branch of the file readers raises a DataFormatError that
+    starts with the path of the file at fault."""
+
+    @pytest.mark.parametrize("text, message", [
+        (b"", ": empty file"),
+        (b"index,class\n1,F\n", ": expected header map_index,class"),
+        (b"map_index,class\n", ": taxonomy is empty"),
+        (b"map_index,class\n1,F\nx,A\n", ":3: map_index 'x' is not an integer"),
+        (b"map_index,class\n1,F\n1,A\n", ":3: duplicate map_index 1"),
+    ])
+    def test_taxonomy(self, tmp_path, text, message):
+        path = tmp_path / "tax.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataFormatError) as info:
+            load_taxonomy(path)
+        assert str(info.value).startswith(f"{path}{message}")
+
+    @pytest.mark.parametrize("rows, message", [
+        (RUN_ROWS[:3] + [RUN_ROWS[3][:3]] + RUN_ROWS[4:],
+         ":4: expected 4 columns, got 3"),
+        (RUN_ROWS[:2], ": fewer than 2 sample rows"),
+        (RUN_ROWS[:1], ": fewer than 2 sample rows"),
+    ])
+    def test_run_csv(self, tmp_path, rows, message):
+        path = write_rows(tmp_path / "run.csv", rows)
+        with pytest.raises(DataFormatError) as info:
+            pipeline._load_run_csv(path, 3)
+        assert str(info.value).startswith(f"{path}{message}")
+
+    def test_subject_entries(self, tmp_path):
+        inputs = write_fixture_dataset(tmp_path)
+        inputs["subjects"][1]["id"] = "sub0"
+        with pytest.raises(DataFormatError, match=(
+                r"^config key inputs\.subjects\[1\]\.id: duplicate "
+                "subject id 'sub0'$")):
+            load_dataset(AnalysisConfig(inputs=inputs))
+        inputs["subjects"] = []
+        with pytest.raises(DataFormatError, match="^inputs.subjects is empty$"):
+            load_dataset(AnalysisConfig(inputs=inputs))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [[c for c in row if c != b"c2"] for row in rows[:1]]
+         + rows[1:], ": estimates CSV must carry columns"),
+        (lambda rows: rows[:2] + [rows[2][:1] + [b"f_9"] + rows[2][2:]]
+         + rows[3:], ":3: unknown map label 'f_9' for the taxonomy"),
+        (lambda rows: rows[:2] + [rows[2][:2] + [b"nap"] + rows[2][3:]]
+         + rows[3:], ":3: unknown state 'nap'"),
+        # a failed row drops its subject, and 2 complete subjects are too few
+        (lambda rows: rows[:2] + [rows[2][:3] + [b"error"] + [b""] * 3
+                                  + [b"EstimationError: x"]] + rows[3:-6],
+         ": only 2 complete subject(s); need >= 3"),
+    ])
+    def test_estimates_csv(self, tmp_path, edit, message):
+        tax = load_taxonomy(write_rows(tmp_path / "tax.csv", TAXONOMY_ROWS))
+        path = write_rows(tmp_path / "est.csv", edit(estimate_rows()))
+        with pytest.raises(DataFormatError) as info, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load_estimates_csv(path, tax)
+        assert str(info.value).startswith(f"{path}{message}")
+
+    def test_estimates_csv_drops_incomplete_subjects(self, tmp_path):
+        tax = load_taxonomy(write_rows(tmp_path / "tax.csv", TAXONOMY_ROWS))
+        rows = estimate_rows()
+        rows[8][3] = b"error"  # s2's first row
+        path = write_rows(tmp_path / "est.csv", rows)
+        with pytest.warns(UserWarning, match=r"dropped incomplete subject\(s\): "
+                                             r"\['s2'\]"):
+            table = load_estimates_csv(path, tax)
+        assert table.subjects == ("s1", "s3", "s4")
+
+
+# One cell, or one line, of a valid file replaced by a token a hand-edited
+# or corrupted file may hold; a cell added to or taken from a row.
+FUZZ_TOKENS = [b"", b"abc", b"nan", b"inf", b"1_0", b'"2.5"', b"#", b"\xff"]
+FUZZ_EDITS = st.tuples(st.sampled_from(("cell", "line", "extra", "missing")),
+                       st.integers(0, 10**6), st.integers(0, 10**6),
+                       st.sampled_from(FUZZ_TOKENS))
+
+
+def fuzzed(rows, edit) -> list:
+    mode, r, c, token = edit
+    rows = [list(row) for row in rows]
+    row = rows[r % len(rows)]
+    if mode == "cell":
+        row[c % len(row)] = token
+    elif mode == "line":
+        row[:] = [token]
+    elif mode == "extra":
+        row.append(token)
+    else:
+        row.pop()
+    return rows
+
+
+def loads_or_located(load, path):
+    """load(path), or None after a DataFormatError that starts with path;
+    any other exception propagates and fails the caller."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return load(path)
+    except DataFormatError as exc:
+        assert str(exc).startswith(str(path)), exc
+        return None
+
+
+class TestLocatedErrorFuzz:
+    @given(edit=FUZZ_EDITS)
+    @settings(max_examples=150, deadline=None)
+    def test_taxonomy(self, tmp_path_factory, edit):
+        path = write_rows(tmp_path_factory.mktemp("fuzz") / "tax.csv",
+                          fuzzed(TAXONOMY_ROWS, edit))
+        tax = loads_or_located(load_taxonomy, path)
+        if tax is not None:
+            rows = sorted(read_rows(path), key=lambda row: int(row[0]))
+            assert tax.classes == tuple(row[1].strip() for row in rows)
+            assert tax.tags == tuple(row[2].strip() if len(row) > 2 else ""
+                                     for row in rows)
+
+    @given(edit=FUZZ_EDITS)
+    @settings(max_examples=150, deadline=None)
+    def test_run_csv(self, tmp_path_factory, edit):
+        path = write_rows(tmp_path_factory.mktemp("fuzz") / "run.csv",
+                          fuzzed(RUN_ROWS, edit))
+        matrix = loads_or_located(lambda p: pipeline._load_run_csv(p, 3), path)
+        if matrix is not None:
+            expected = [[float(c) for c in row[1:]] for row in read_rows(path)]
+            assert matrix.tolist() == expected
+
+    @given(edit=FUZZ_EDITS)
+    @settings(max_examples=150, deadline=None)
+    def test_estimates_csv(self, tmp_path_factory, edit):
+        root = tmp_path_factory.mktemp("fuzz")
+        tax = load_taxonomy(write_rows(root / "tax.csv", TAXONOMY_ROWS))
+        path = write_rows(root / "est.csv", fuzzed(estimate_rows(), edit))
+        table = loads_or_located(lambda p: load_estimates_csv(p, tax), path)
+        if table is not None:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header = next(csv.reader(fh))
+            cells, subjects = {}, []
+            for row in read_rows(path):
+                cell = dict(zip(header, row + [""] * len(header)))
+                if cell["subject"] not in subjects:
+                    subjects.append(cell["subject"])
+                if cell["status"] == "ok":
+                    cells[cell["subject"], cell["map"], cell["state"]] = [
+                        float(cell[col]) for col in ("c1", "c2", "hurst")]
+            assert table.subjects == tuple(
+                sid for sid in subjects
+                if sum(key[0] == sid for key in cells) == 6)
+            assert table.estimates.tolist() == [
+                [[cells[sid, label, state] for state in ("rest", "task")]
+                 for label in ("f_1", "a_1", "u_1")] for sid in table.subjects]
 
 
 class TestProjection:
@@ -250,6 +447,15 @@ class TestProjection:
         v = np.column_stack([v, v[:, 0]])  # rank 3 of 4
         with pytest.raises(ParameterError, match="rank 3"):
             project_onto_maps(rng.standard_normal((10, 30)), v)
+
+
+@lru_cache(maxsize=None)
+def affine_series(i: int) -> np.ndarray:
+    """Three fGn and three MRW increment series of 2048 samples."""
+    if i < 3:
+        return gen_fgn(GeneratorSpec("fgn", 0.6 + 0.1 * i, 2048, seed=i)).samples
+    walk = gen_mrw(GeneratorSpec("mrw", 0.6, 2048, seed=i, lambda2=0.03 * (i - 2)))
+    return np.diff(walk.samples, prepend=0.0)
 
 
 class TestAnalyzeSeries:
@@ -313,6 +519,22 @@ class TestAnalyzeSeries:
         run_full_analysis(cfg)
         assert builds == [3]
 
+    @given(series=st.integers(0, 5),
+           a=st.sampled_from([3.7, 1e-3, -2.0, 1e4, 0.5]),
+           b_over_a=st.floats(-1e3, 1e3), auto_gamma=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_affine_invariance(self, series, a, b_over_a, auto_gamma):
+        """H, c1 and c2 of a*x + b are those of x: the wavelet's vanishing
+        moments remove b, and every estimate is a log-log slope."""
+        cfg = AnalysisConfig(synthetic={},
+                             gamma_mode="auto" if auto_gamma else "fixed")
+        x = affine_series(series)
+        base = analyze_series(Signal(x, 1.0), cfg)
+        moved = analyze_series(Signal(a * x + b_over_a * abs(a), 1.0), cfg)
+        for name in ("hurst", "c1", "c2"):
+            value = getattr(base, name)
+            assert abs(getattr(moved, name) - value) <= 1e-9 * max(1, abs(value))
+
     def test_memoised_wavelet_is_read_only(self):
         wavelet = pipeline._wavelet(3)
         assert pipeline._wavelet(3) is wavelet
@@ -372,8 +594,7 @@ class TestRunFullAnalysis:
         def unexpected(*args, **kwargs):
             raise AssertionError("a series was synthesized")
 
-        monkeypatch.setattr(pipeline, "gen_mrw", unexpected)
-        monkeypatch.setattr(pipeline, "gen_fgn", unexpected)
+        monkeypatch.setattr(pipeline, "generate", unexpected)
         cfg = AnalysisConfig(synthetic={}, octave_range=(3, 9),
                              output_dir=str(tmp_path / "out"))
         with pytest.raises(ScaleRangeError, match="length 2048"):
@@ -528,8 +749,7 @@ class TestRunFullAnalysis:
         def unexpected(*args, **kwargs):
             raise AssertionError("a series was synthesized")
 
-        monkeypatch.setattr(pipeline, "gen_mrw", unexpected)
-        monkeypatch.setattr(pipeline, "gen_fgn", unexpected)
+        monkeypatch.setattr(pipeline, "generate", unexpected)
         cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)
         ds = pipeline._build_dataset(cfg)
         tasks = pipeline._run_tasks(cfg, ds)

@@ -44,6 +44,38 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             GeneratorSpec("mrw", 0.5, 64, 0, lambda2=0.05, integral_scale=128)
 
+    def test_seed_is_an_integer_at_least_0(self):
+        for seed in (-1, 1.5, True, "3", None):
+            with pytest.raises(ParameterError,
+                               match=f"seed={seed!r} must be an integer >= 0"):
+                GeneratorSpec("fgn", 0.5, 64, seed)
+        assert GeneratorSpec("fgn", 0.5, 64, np.uint64(2**63)).seed == 2**63
+
+    def test_integral_scale_only_for_mrw(self):
+        for kind in ("fgn", "fbm"):
+            with pytest.raises(ParameterError,
+                               match=f"{kind} takes no integral_scale"):
+                GeneratorSpec(kind, 0.5, 64, 0, integral_scale=5)
+        assert GeneratorSpec("mrw", 0.5, 64, 0, integral_scale=5)
+
+
+class TestNamedGenerators:
+    def test_each_checks_its_kind_and_returns_generate(self):
+        named = {"fgn": gen_fgn, "fbm": gen_fbm, "mrw": gen_mrw}
+        labels = {"fgn": "fgn(H=0.7,seed=3)", "fbm": "fbm(H=0.7,seed=3)",
+                  "mrw": "mrw(H=0.7,l2=0.05,seed=3)"}
+        for kind, gen in named.items():
+            spec = GeneratorSpec(kind, 0.7, 256, seed=3,
+                                 lambda2=0.05 if kind == "mrw" else 0.0)
+            signal, expected = gen(spec), generate(spec)
+            assert signal.label == expected.label == labels[kind]
+            assert signal.samples.tobytes() == expected.samples.tobytes()
+            for other in set(KINDS) - {kind}:
+                with pytest.raises(ParameterError,
+                                   match=f"{gen.__name__} called with "
+                                         f"kind='{other}'"):
+                    gen(GeneratorSpec(other, 0.7, 256, seed=3))
+
 
 class TestFgn:
     def test_h_half_is_white(self):
