@@ -62,15 +62,18 @@ def select_gamma(h_min: float, mode: str = "auto", value: float | None = None,
 
 
 def _check_gamma(mode: str, value: float | None, eps: float, prefix: str = "") -> None:
-    """Raise ParameterError, prefixed, unless select_gamma takes these."""
+    """Raise ParameterError naming the key, after prefix, unless
+    select_gamma takes these."""
     if mode == "fixed":
         if value is None or not 0 <= value < math.inf:
             raise ParameterError(
-                f"{prefix}fixed gamma value must be >= 0 and finite, got {value}")
+                f"{prefix}value: fixed gamma value must be >= 0 and finite, "
+                f"got {value}")
     elif mode != "auto":
-        raise ParameterError(f"{prefix}unknown gamma mode {mode!r}")
+        raise ParameterError(f"{prefix}mode: unknown gamma mode {mode!r}")
     elif not 0 < eps < math.inf:
-        raise ParameterError(f"{prefix}eps={eps} must be > 0 and finite in auto mode")
+        raise ParameterError(
+            f"{prefix}eps: {eps} must be > 0 and finite in auto mode")
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ class AnalysisConfig:
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
         _check_gamma(self.gamma_mode, self.gamma_value, self.gamma_eps,
-                     "config key gamma: ")
+                     "config key gamma.")
         _check_welch(self.welch_segment_length, self.welch_overlap,
                      self.welch_window, prefix="config key welch.")
         _check_q_grid(self.q_grid, "config key ")
@@ -362,7 +362,32 @@ def _parse_cell(tok: str, where: str) -> float:
     return v
 
 
+def _loadtxt(path, width: int) -> np.ndarray | None:
+    """The rows after the header line of a run CSV in one vectorised pass,
+    or None unless every row holds width finite floats.  It accepts a
+    subset of what the per-cell parser accepts (no quotes, underscores or
+    non-ASCII digits) and reads each value as float() does."""
+    # an open file, not the path: loadtxt would unpack a path ending in .gz
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without data rows
+            m = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
+                           ndmin=2, dtype=np.float64)
+            # loadtxt strips the separators \x1c-\x1f as whitespace around
+            # a number, float() rejects them
+            fh.seek(0)
+            for chunk in iter(lambda: fh.read(1 << 20), ""):
+                if any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
+                    return None
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return m if m.shape[1] == width and np.isfinite(m).all() else None
+
+
 def _load_run_csv(path, n_maps: int) -> np.ndarray:
+    """The (n, n_maps) C-contiguous samples of a run CSV; its t column is
+    checked and dropped.  A file the vectorised pass rejects is parsed cell
+    by cell, which raises the located error."""
     with _csv_rows(path) as (header, lines):
         expected = ["t"] + [f"map_{k}" for k in range(1, n_maps + 1)]
         if len(header) != len(expected):
@@ -375,17 +400,20 @@ def _load_run_csv(path, n_maps: int) -> np.ndarray:
                 raise DataFormatError(
                     f"{path}:1: column {col} is {got!r}, expected {want!r} "
                     f"(header t,map_1..map_{n_maps})")
-        rows = []
-        for line_no, row in lines:
-            if len(row) != n_maps + 1:
-                raise DataFormatError(
-                    f"{path}:{line_no}: expected {n_maps + 1} columns, got {len(row)}"
-                )
-            rows.append([_parse_cell(tok, f"{path}:{line_no}: column {col}")
-                         for col, tok in zip(header[1:], row[1:])])
-    if len(rows) < 2:
+        matrix = _loadtxt(path, n_maps + 1)
+        if matrix is None:
+            rows = []
+            for line_no, row in lines:
+                if len(row) != n_maps + 1:
+                    raise DataFormatError(
+                        f"{path}:{line_no}: expected {n_maps + 1} columns, "
+                        f"got {len(row)}")
+                rows.append([_parse_cell(tok, f"{path}:{line_no}: column {col}")
+                             for col, tok in zip(expected, row)])
+            matrix = np.array(rows, dtype=np.float64).reshape(-1, n_maps + 1)
+    if len(matrix) < 2:
         raise DataFormatError(f"{path}: fewer than 2 sample rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.ascontiguousarray(matrix[:, 1:])
 
 
 def load_dataset(config: AnalysisConfig) -> Dataset:

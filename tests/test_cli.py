@@ -205,11 +205,11 @@ class TestAnalyzeCommand:
             ('{"synthetic": {}', "cfg.json: Expecting ',' delimiter: line 1"),
             # values every series would reject fail before any series runs
             ({"synthetic": {}, "gamma": {"mode": "foo"}},
-             "config key gamma: unknown gamma mode 'foo'"),
+             "config key gamma.mode: unknown gamma mode 'foo'"),
             ({"synthetic": {}, "gamma": {"value": -1}},
-             "config key gamma: fixed gamma value must be >= 0"),
+             "config key gamma.value: fixed gamma value must be >= 0"),
             ({"synthetic": {}, "gamma": {"mode": "auto", "eps": 0}},
-             "config key gamma: eps=0 must be > 0"),
+             "config key gamma.eps: 0 must be > 0"),
             ({"synthetic": {}, "welch": {"window": "blackman"}},
              "config key welch.window"),
             ({"synthetic": {}, "welch": {"overlap_fraction": 1.5}},
@@ -250,14 +250,14 @@ class TestAnalyzeCommand:
             # non-finite values, a q grid the Legendre transform cannot
             # use, and alpha levels outside (0, 1)
             ({"synthetic": {}, "gamma": {"value": nan}, "output_dir": out},
-             "config key gamma: fixed gamma value must be >= 0 and finite, "
-             "got nan"),
+             "config key gamma.value: fixed gamma value must be >= 0 and "
+             "finite, got nan"),
             ({"synthetic": {}, "gamma": {"value": inf}, "output_dir": out},
-             "config key gamma: fixed gamma value must be >= 0 and finite, "
-             "got inf"),
+             "config key gamma.value: fixed gamma value must be >= 0 and "
+             "finite, got inf"),
             ({"synthetic": {}, "gamma": {"mode": "auto", "eps": inf},
               "output_dir": out},
-             "config key gamma: eps=inf must be > 0 and finite in auto mode"),
+             "config key gamma.eps: inf must be > 0 and finite in auto mode"),
             ({"synthetic": {}, "sampling_rate": inf, "output_dir": out},
              "config key sampling_rate: inf must be finite and > 0"),
             ({"synthetic": {}, "q_grid": [nan, 1, 2], "output_dir": out},

@@ -89,11 +89,11 @@ class TestSelectGamma:
     def test_non_finite_values_rejected(self):
         cases = [
             ({"mode": "fixed", "value": math.nan},
-             "fixed gamma value must be >= 0 and finite, got nan"),
+             "value: fixed gamma value must be >= 0 and finite, got nan"),
             ({"mode": "fixed", "value": math.inf},
-             "fixed gamma value must be >= 0 and finite, got inf"),
+             "value: fixed gamma value must be >= 0 and finite, got inf"),
             ({"mode": "auto", "eps": math.inf},
-             "eps=inf must be > 0 and finite in auto mode"),
+             "eps: inf must be > 0 and finite in auto mode"),
         ]
         for kwargs, message in cases:
             with pytest.raises(ParameterError) as exc:

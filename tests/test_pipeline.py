@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from scalefree import pipeline
 from scalefree.errors import (DataFormatError, DegenerateInputError,
-                              ParameterError, ScaleRangeError)
+                              ParameterError, ScaleFreeError, ScaleRangeError)
 from scalefree.grouptests import GroupTable, run_battery
 from scalefree.leaders_mf import compute_leaders, legendre_spectrum, select_gamma
 from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
@@ -63,6 +63,48 @@ def flatten_map(path: Path, column: int):
     for r in rows[1:]:
         r[column] = "5.0"
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+
+# Two valid configs that set every key: a synthetic study in fixed gamma
+# mode and a file study in auto mode (from_dict opens no input file).
+_CONFIG_SETTINGS = {
+    "octave_range": [3, 6], "n_vanishing": 3, "q_grid": [-2, -1, 1, 2],
+    "p_max": 2, "alpha_levels": [0.01, 0.05], "sampling_rate": 1.0,
+    "welch": {"segment_length": 256, "overlap_fraction": 0.5, "window": "hann"},
+    "output_dir": "out", "workers": 1, "seed": 0}
+VALID_CONFIGS = [
+    {**_CONFIG_SETTINGS,
+     "gamma": {"mode": "fixed", "value": 2.0, "eps": 0.1},
+     "synthetic": {"subjects": 3, "length": 1024,
+                   "maps": {"F": 2, "A": 1, "U": 1},
+                   "rest_hurst": {"F": 0.8, "A": 0.75, "U": 0.78},
+                   "task_hurst": {"F": 0.7, "A": 0.65, "U": 0.67},
+                   "lambda2": {"F": 0.03, "A": 0.03, "U": 0.03}}},
+    {**_CONFIG_SETTINGS,
+     "gamma": {"mode": "auto", "value": 2.0, "eps": 0.1},
+     "inputs": {"taxonomy": "tax.csv", "expected_class_counts": [1, 1, 1],
+                "subjects": [{"id": "a", "rest": "a_rest.csv",
+                              "task": "a_task.csv"}]}},
+]
+# A wrong type, a negative value, NaN, an infinity, an empty list; or an
+# unknown key added to the top level or to one section.
+UNKNOWN_KEY = object()
+CONFIG_MUTANTS = ["x", 7, True, {"zz": 1}, -1, -2.5, math.nan, math.inf,
+                  -math.inf, [], UNKNOWN_KEY]
+
+
+def config_keys(node, path=""):
+    """(key path, dict, key) for every key of a nested config, the keys of
+    the dicts in a list (inputs.subjects[0].id) included."""
+    for key, value in node.items():
+        sub = f"{path}.{key}" if path else key
+        yield sub, node, key
+        if isinstance(value, dict):
+            yield from config_keys(value, sub)
+        elif isinstance(value, list):
+            for i, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    yield from config_keys(entry, f"{sub}[{i}]")
 
 
 class TestConfig:
@@ -126,7 +168,7 @@ class TestConfig:
             (lambda: pipeline._require_feasible(64, AnalysisConfig(
                 synthetic={}, welch_segment_length=100)), "config key welch.",
              lambda: welch_psd(signal, segment_length=100), ""),
-            (config(gamma_value=math.nan), "config key gamma: ",
+            (config(gamma_value=math.nan), "config key gamma.",
              lambda: select_gamma(0.1, "fixed", math.nan), ""),
             (config(q_grid=(1.0, 1.0, 2.0)), "config key ",
              lambda: legendre_spectrum([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
@@ -143,6 +185,29 @@ class TestConfig:
             assert config_msg.startswith(config_prefix), config_msg
             assert layer_msg.startswith(layer_prefix), layer_msg
             assert config_msg[len(config_prefix):] == layer_msg[len(layer_prefix):]
+
+    @given(case=st.sampled_from(VALID_CONFIGS), pick=st.integers(0, 10**6),
+           mutant=st.sampled_from(CONFIG_MUTANTS))
+    @settings(max_examples=1000, deadline=None)
+    def test_mutated_config_named_by_key_path(self, case, pick, mutant):
+        """One key of a valid config set to a bad value, or one unknown key
+        added: from_dict returns, or raises a ScaleFreeError naming the
+        key's path; any other exception fails."""
+        raw = json.loads(json.dumps(case))
+        keys = list(config_keys(raw))
+        if mutant is UNKNOWN_KEY:
+            sections = [("", raw)] + [(path, node[key]) for path, node, key
+                                      in keys if isinstance(node[key], dict)]
+            path, section = sections[pick % len(sections)]
+            section["zz_unknown"] = 1
+            path = f"{path}.zz_unknown".lstrip(".")
+        else:
+            path, node, key = keys[pick % len(keys)]
+            node[key] = mutant
+        try:
+            AnalysisConfig.from_dict(raw)
+        except ScaleFreeError as exc:
+            assert path in str(exc), (path, str(exc))
 
     def test_gamma_json_nesting(self):
         cfg = AnalysisConfig.from_dict(
@@ -228,9 +293,9 @@ class TestLoadDataset:
             load_dataset(AnalysisConfig(inputs=inputs))
 
 
-def write_rows(path: Path, rows) -> Path:
+def write_rows(path: Path, rows, newline=b"\n") -> Path:
     """rows of byte cells as a CSV file, one line each."""
-    path.write_bytes(b"".join(b",".join(row) + b"\n" for row in rows))
+    path.write_bytes(b"".join(b",".join(row) + newline for row in rows))
     return path
 
 
@@ -335,8 +400,14 @@ class TestIngestErrors:
 
 
 # One cell, or one line, of a valid file replaced by a token a hand-edited
-# or corrupted file may hold; a cell added to or taken from a row.
-FUZZ_TOKENS = [b"", b"abc", b"nan", b"inf", b"1_0", b'"2.5"', b"#", b"\xff"]
+# or corrupted file may hold; a cell added to or taken from a row.  Python's
+# float reads "1_0" and a full-width digit, which np.loadtxt rejects, and
+# rejects the separator \x1c, which np.loadtxt strips; "1e400" reads as inf;
+# as a line, " \t " is blank and ",,," all empty cells; an added empty cell
+# is a trailing comma.
+FUZZ_TOKENS = [b"", b"abc", b"nan", b"inf", b"1_0", b'"2.5"', b"#", b"\xff",
+               b" 1.5", b"1e400", b"infinity", "\uff11".encode(), b"1\x1c",
+               b" \t ", b",,,"]
 FUZZ_EDITS = st.tuples(st.sampled_from(("cell", "line", "extra", "missing")),
                        st.integers(0, 10**6), st.integers(0, 10**6),
                        st.sampled_from(FUZZ_TOKENS))
@@ -389,8 +460,43 @@ class TestLocatedErrorFuzz:
                           fuzzed(RUN_ROWS, edit))
         matrix = loads_or_located(lambda p: pipeline._load_run_csv(p, 3), path)
         if matrix is not None:
-            expected = [[float(c) for c in row[1:]] for row in read_rows(path)]
-            assert matrix.tolist() == expected
+            expected = [[float(c) for c in row] for row in read_rows(path)]
+            assert all(map(math.isfinite, sum(expected, [])))
+            assert matrix.tolist() == [row[1:] for row in expected]
+
+    def test_run_csv_fast_path_reads_valid_files(self, tmp_path):
+        for name, newline in (("lf.csv", b"\n"), ("crlf.csv", b"\r\n")):
+            path = write_rows(tmp_path / name, RUN_ROWS, newline)
+            matrix = pipeline._loadtxt(path, 4)
+            assert matrix is not None
+            assert matrix.tolist() == [[float(c) for c in row]
+                                       for row in read_rows(path)]
+
+    @given(edit=FUZZ_EDITS, newline=st.sampled_from((b"\n", b"\r\n")))
+    @settings(max_examples=300, deadline=None)
+    def test_run_csv_fast_path_parity(self, tmp_path_factory, edit, newline):
+        """With the vectorised pass on and off, a run CSV gives the same
+        C-contiguous matrix or the same error."""
+        path = write_rows(tmp_path_factory.mktemp("fuzz") / "run.csv",
+                          fuzzed(RUN_ROWS, edit), newline)
+
+        def load():
+            try:
+                return pipeline._load_run_csv(path, 3)
+            except DataFormatError as exc:
+                return str(exc)
+
+        fast = load()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_loadtxt", lambda path, width: None)
+            cells = load()
+        if isinstance(cells, str):
+            assert isinstance(fast, str) and fast == cells, (fast, cells)
+        else:
+            assert isinstance(fast, np.ndarray), fast
+            assert fast.shape == cells.shape
+            assert np.array_equal(fast, cells)
+            assert fast.flags.c_contiguous and cells.flags.c_contiguous
 
     @given(edit=FUZZ_EDITS)
     @settings(max_examples=150, deadline=None)
