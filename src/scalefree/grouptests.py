@@ -127,11 +127,6 @@ class GroupTable:
     def n_maps(self) -> int:
         return self.estimates.shape[1]
 
-    def subject_means(self, map_indices, state: int, param: int) -> np.ndarray:
-        """Per-subject average over a map subset."""
-        idx = np.asarray(list(map_indices), dtype=int)
-        return self.estimates[:, idx, state, param].mean(axis=1)
-
 
 @dataclass(frozen=True)
 class GroupSummary:
@@ -424,21 +419,6 @@ class BatteryReport:
         return rows
 
 
-def _one_sample_block(values_by_unit: dict, param: str) -> dict:
-    mu0, sidedness = ONE_SAMPLE_NULLS[param]
-    block = {}
-    for unit, values in values_by_unit.items():
-        block[unit] = {
-            "t": one_sample_t(values, mu0, sidedness),
-            "wsr": wilcoxon_signed_rank(values, mu0, sidedness),
-        }
-    for test in ("t", "wsr"):
-        corrected = bonferroni([block[unit][test].p_value for unit in block])
-        for unit, p in zip(block, corrected):
-            block[unit][test] = replace(block[unit][test], p_corrected=float(p))
-    return block
-
-
 def _check_alpha_levels(alpha_levels, prefix: str = "") -> None:
     for a in alpha_levels:
         if not 0.0 < a < 1.0:
@@ -455,61 +435,54 @@ def run_battery(table: GroupTable, alpha_levels=(0.01, 0.05)) -> BatteryReport:
     """
     _check_alpha_levels(alpha_levels)
     all_units = table.taxonomy.units()
-    level_units = {lvl: units for lvl, units in all_units.items() if units}
+    # (subjects, states, params): each unit's maps averaged once per subject
+    blocks = {level: {unit: table.estimates[:, idx].mean(axis=1)
+                      for unit, idx in units.items()}
+              for level, units in all_units.items() if units}
 
-    one_sample = {}
-    for level, units in level_units.items():
-        one_sample[level] = {}
-        for unit, idx in units.items():
-            one_sample[level][unit] = {}
+    one_sample, two_sample = {}, {}
+    for level, means in blocks.items():
+        one_sample[level] = {unit: {state: {} for state in STATES}
+                             for unit in means}
         for j, state in enumerate(STATES):
             for ip, param in enumerate(PARAMS):
-                values_by_unit = {
-                    unit: table.subject_means(idx, j, ip)
-                    for unit, idx in units.items()
-                }
-                block = _one_sample_block(values_by_unit, param)
-                for unit in units:
-                    one_sample[level][unit].setdefault(state, {})[param] = \
-                        block[unit]
+                mu0, sidedness = ONE_SAMPLE_NULLS[param]
+                tests = {unit: {
+                    "t": one_sample_t(m[:, j, ip], mu0, sidedness),
+                    "wsr": wilcoxon_signed_rank(m[:, j, ip], mu0, sidedness),
+                } for unit, m in means.items()}
+                for test in ("t", "wsr"):  # Bonferroni over the level's units
+                    ps = bonferroni([res[test].p_value for res in tests.values()])
+                    for res, p in zip(tests.values(), ps):
+                        res[test] = replace(res[test], p_corrected=float(p))
+                for unit, res in tests.items():
+                    one_sample[level][unit][state][param] = res
+        two_sample[level] = {unit: {
+            param: paired_t_two_state(m[:, 0, ip], m[:, 1, ip],
+                                      TWO_SAMPLE_SIDEDNESS[param])
+            for ip, param in enumerate(PARAMS)} for unit, m in means.items()}
 
     anova = {}
     labels = table.taxonomy.display_labels()
-    anova_sets = {cls: ("Map", {labels[k]: [k] for k in idx})
+    anova_sets = {cls: ("Map", [blocks["map"][labels[k]] for k in idx])
                   for cls, idx in all_units["class"].items()}
     for level in TAG_LEVELS.values():
-        if all_units[level]:
-            anova_sets[level] = (level.capitalize(), all_units[level])
-    for set_name, (factor_b, units) in anova_sets.items():
-        if len(units) < 2:
-            warnings.warn(
-                f"ANOVA for {set_name!r} skipped: needs >= 2 factor levels",
-                stacklevel=2,
-            )
+        if level in blocks:
+            anova_sets[level] = (level.capitalize(), list(blocks[level].values()))
+    for set_name, (factor_b, unit_blocks) in anova_sets.items():
+        if len(unit_blocks) < 2:
+            warnings.warn(f"ANOVA for {set_name!r} skipped: needs >= 2 "
+                          "factor levels", stacklevel=2)
             continue
         anova[set_name] = {}
         for ip, param in enumerate(PARAMS):
-            cells = np.stack(
-                [np.stack([table.subject_means(idx, j, ip)
-                           for idx in units.values()], axis=1)
-                 for j in range(2)], axis=1,
-            )  # (S, states, units)
+            cells = np.stack([m[:, :, ip] for m in unit_blocks],
+                             axis=2)  # (S, states, units)
             res_state, res_b, res_int = rm_anova_2way(cells)
             anova[set_name][param] = {
                 "State": res_state, factor_b: res_b,
                 f"State x {factor_b}": res_int,
             }
-
-    two_sample = {}
-    for level, units in level_units.items():
-        two_sample[level] = {}
-        for unit, idx in units.items():
-            two_sample[level][unit] = {}
-            for ip, param in enumerate(PARAMS):
-                rest = table.subject_means(idx, 0, ip)
-                task = table.subject_means(idx, 1, ip)
-                two_sample[level][unit][param] = paired_t_two_state(
-                    rest, task, TWO_SAMPLE_SIDEDNESS[param])
 
     return BatteryReport(one_sample=one_sample, anova=anova,
                          two_sample=two_sample, alpha_levels=tuple(alpha_levels))

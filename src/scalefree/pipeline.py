@@ -865,7 +865,7 @@ def load_estimates_csv(path, taxonomy: MapTaxonomy) -> GroupTable:
     warning.
     """
     labels = set(taxonomy.display_labels())
-    cells = {}
+    cells, seen = {}, set()
     subjects = []
     with _csv_rows(path) as (header, rows):
         required = {"subject", "map", "state", "status", "c1", "c2", "hurst"}
@@ -879,16 +879,21 @@ def load_estimates_csv(path, taxonomy: MapTaxonomy) -> GroupTable:
             sid = row["subject"]
             if sid not in subjects:
                 subjects.append(sid)
+            where = f"{path}:{line_no}"
+            key = (sid, row["map"], row["state"])
+            if key in seen:
+                raise DataFormatError(f"{where}: duplicate row for "
+                                      + "/".join(key))
+            seen.add(key)
             if row["status"] != "ok":
                 continue
-            where = f"{path}:{line_no}"
             if row["map"] not in labels:
                 raise DataFormatError(
                     f"{where}: unknown map label {row['map']!r} for the taxonomy"
                 )
             if row["state"] not in STATES:
                 raise DataFormatError(f"{where}: unknown state {row['state']!r}")
-            cells[(sid, row["map"], row["state"])] = tuple(
+            cells[key] = tuple(
                 _parse_cell(row[col], f"{where}: column {col}")
                 for col in ("c1", "c2", "hurst"))
     table, dropped = _group_table(subjects, taxonomy, cells)

@@ -234,10 +234,6 @@ def _ols_fit(design: tuple, y: np.ndarray):
     return slope, intercept, stderr, r_squared
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None):
-    return _ols_fit(_ols_design(x, weights), y)
-
-
 def fit_loglog(points, j1: int, j2: int,
                weights: np.ndarray | None = None) -> ScalingFit:
     """OLS of log2(value) on octave over j1..j2.
@@ -317,7 +313,8 @@ def fit_psd_powerlaw(spectrum: SpectrumEstimate, f_min: float,
     p = spectrum.power[mask]
     if np.any(p <= 0):
         raise ParameterError("nonpositive power inside the fit band")
-    slope, intercept, stderr, r2 = _ols_line(np.log2(f), np.log2(p), None)
+    slope, intercept, stderr, r2 = _ols_fit(_ols_design(np.log2(f), None),
+                                              np.log2(p))
     return PsdPowerLawFit(
         beta=-slope, intercept=intercept, stderr_beta=stderr,
         r_squared=r2, n_points=f.size, band=(f_min, f_max),

@@ -243,6 +243,84 @@ def ols_line(x, y, weights):
     return slope, intercept, stderr, r_squared
 
 
+def battery_rows_by_hand(table):
+    """Every row of run_battery(table).to_rows(), in its order, built from
+    the per-cell subject means, the public tests and bonferroni: one-sample
+    t and WSR rows by level, unit, state, parameter and test (Bonferroni
+    over the level's units), then the ANOVA rows (State x Map per class,
+    then State x Network and State x Artifact, each only with >= 2 units),
+    then the paired rest-task rows by level, unit and parameter."""
+    from scalefree.grouptests import (bonferroni, one_sample_t,
+                                      paired_t_two_state, rm_anova_2way,
+                                      wilcoxon_signed_rank)
+    classes, tags = table.taxonomy.classes, table.taxonomy.tags
+    labels = [f"{c.lower()}_{classes[:k + 1].count(c)}"
+              for k, c in enumerate(classes)]
+    levels = {"map": {lab: [k] for k, lab in enumerate(labels)},
+              "class": {}, "network": {}, "artifact": {}}
+    for c in ("F", "A", "U"):
+        idx = [k for k, x in enumerate(classes) if x == c]
+        if idx:
+            levels["class"][c] = idx
+    for k, (c, tag) in enumerate(zip(classes, tags)):
+        if tag and c in ("F", "A"):  # a tag on a U map names no unit
+            level = "network" if c == "F" else "artifact"
+            levels[level].setdefault(tag, []).append(k)
+    levels = {level: units for level, units in levels.items() if units}
+    states, params = ("rest", "task"), ("c1", "c2", "H")
+    nulls = {"c1": (0.5, "greater"), "c2": (0.0, "less"),
+             "H": (0.5, "greater")}
+    paired_sides = {"c1": "greater", "c2": "two", "H": "greater"}
+
+    def means(idx, state, param):
+        return table.estimates[:, idx, state, param].mean(axis=1)
+
+    rows = []
+    for level, units in levels.items():
+        found = {}
+        for j in range(2):
+            for ip, param in enumerate(params):
+                mu0, side = nulls[param]
+                for test, run in (("t", one_sample_t),
+                                  ("wsr", wilcoxon_signed_rank)):
+                    results = [run(means(idx, j, ip), mu0, side)
+                               for idx in units.values()]
+                    corrected = bonferroni([r.p_value for r in results])
+                    for unit, r, p in zip(units, results, corrected):
+                        found[unit, j, ip, test] = (r, float(p))
+        for unit in units:
+            for j, state in enumerate(states):
+                for ip, param in enumerate(params):
+                    for test in ("t", "wsr"):
+                        r, p = found[unit, j, ip, test]
+                        rows.append((level, unit, state, param, test,
+                                     r.statistic, r.p_value, p))
+    anova_sets = [(c, "Map", {labels[k]: [k] for k in idx})
+                  for c, idx in levels.get("class", {}).items()]
+    anova_sets += [(level, level.capitalize(), levels[level])
+                   for level in ("network", "artifact") if level in levels]
+    for name, factor, units in anova_sets:
+        if len(units) < 2:
+            continue
+        for ip, param in enumerate(params):
+            # (S, states, units) in C order: numpy's sums follow the layout
+            cells = np.ascontiguousarray(np.transpose(
+                [[means(idx, j, ip) for idx in units.values()]
+                 for j in range(2)], (2, 0, 1)))
+            for source, r in zip(("State", factor, f"State x {factor}"),
+                                 rm_anova_2way(cells)):
+                rows.append(("anova:" + name, source, "both", param,
+                             r.test_kind, r.statistic, r.p_value, None))
+    for level, units in levels.items():
+        for unit, idx in units.items():
+            for ip, param in enumerate(params):
+                r = paired_t_two_state(means(idx, 0, ip), means(idx, 1, ip),
+                                       paired_sides[param])
+                rows.append(("two_sample:" + level, unit, "rest-task", param,
+                             r.test_kind, r.statistic, r.p_value, None))
+    return rows
+
+
 def circulant_gaussian(cov_row, rng, clip_tol):
     """Exact stationary Gaussian sample via circulant embedding, computing
     the embedding's spectrum afresh on every call.  cov_row holds the

@@ -180,6 +180,29 @@ class TestAnalyzeCommand:
         assert code == 0
         assert (tmp_path / "out" / "group_report.json").exists()
 
+    def test_warnings_are_one_line(self, tmp_path, capsys):
+        """analyze and battery print a library warning as one warning:
+        line, without the source location Python's format adds."""
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "synthetic": {"subjects": 3, "length": 1024,
+                          "maps": {"F": 3, "A": 2, "U": 1}},
+            "output_dir": str(out)}))
+        tax = tmp_path / "tax.csv"
+        tax.write_text("map_index,class\n" + "".join(
+            f"{k},{c}\n" for k, c in enumerate("FFFAAU", 1)))
+        for argv in (["analyze", "--config", str(cfg_path)],
+                     ["battery", "--estimates", str(out / "estimates.csv"),
+                      "--taxonomy", str(tax),
+                      "--out", str(tmp_path / "battery.json")]):
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert "warning: ANOVA for 'U' skipped" in err, err
+            assert ".py:" not in err, err
+            assert all(line.startswith("warning: ")
+                       for line in err.splitlines()), err
+
     def test_invalid_config_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         cases = [  # (config, text the error must name)

@@ -13,7 +13,7 @@ from scalefree.grouptests import (CLASSES, PARAMS, STATES, GroupTable,
                                   rm_anova_2way, run_battery,
                                   WSR_EXACT_MAX_N, wilcoxon_signed_rank)
 
-from oracles import anova_by_hand, wsr_brute_force
+from oracles import anova_by_hand, battery_rows_by_hand, wsr_brute_force
 
 
 def small_taxonomy():
@@ -456,6 +456,36 @@ class TestBattery:
         assert all(len(r) == 8 for r in rows)
         levels = {r[0] for r in rows}
         assert "map" in levels and any(l.startswith("anova:") for l in levels)
+
+    @pytest.mark.parametrize("subjects", [5, 14])  # WSR exact, normal
+    def test_rows_equal_per_cell_oracle(self, subjects):
+        """Every row, in order, equals the one built from per-cell means;
+        the U class (one map) and the network level (one unit) skip their
+        ANOVAs, the tag on the U map names no unit, and zero c2 and equal
+        states on some maps give degenerate results."""
+        taxonomy = MapTaxonomy(
+            classes=("F", "A", "F", "U", "F", "A", "F"),
+            tags=("Vis", "WhM", "Vis", "Xx", "Vis", "Ven", ""))
+        table = random_table(21, subjects=subjects, taxonomy=taxonomy)
+        est = table.estimates.copy()
+        est[:, 0, :, 1] = 0.0
+        est[:, 3, 1, :] = est[:, 3, 0, :]
+        table = table_from(est, taxonomy)
+        with pytest.warns(UserWarning, match="skipped") as record:
+            rows = run_battery(table).to_rows()
+        assert [str(w.message) for w in record] == [
+            "ANOVA for 'U' skipped: needs >= 2 factor levels",
+            "ANOVA for 'network' skipped: needs >= 2 factor levels"]
+        expected = battery_rows_by_hand(table)
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert all(a == b or (a != a and b != b)  # nan equals nan
+                       for a, b in zip(row, want)), (row, want)
+        assert any(math.isnan(row[5]) for row in rows)
+        assert {row[0] for row in rows} == {
+            "map", "class", "network", "artifact", "anova:F", "anova:A",
+            "anova:artifact", "two_sample:map", "two_sample:class",
+            "two_sample:network", "two_sample:artifact"}
 
     def test_missing_cell_rejected(self):
         est = np.random.default_rng(0).normal(size=(4, 4, 2, 3))

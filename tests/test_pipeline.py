@@ -375,6 +375,12 @@ class TestIngestErrors:
          + rows[3:], ":3: unknown map label 'f_9' for the taxonomy"),
         (lambda rows: rows[:2] + [rows[2][:2] + [b"nap"] + rows[2][3:]]
          + rows[3:], ":3: unknown state 'nap'"),
+        # a second row for one (subject, map, state), ok or failed
+        (lambda rows: rows[:3] + [rows[2]] + rows[3:],
+         ":4: duplicate row for s1/f_1/task"),
+        (lambda rows: rows[:3] + [rows[1][:3] + [b"error"] + [b""] * 3
+                                  + [b"EstimationError: x"]] + rows[3:],
+         ":4: duplicate row for s1/f_1/rest"),
         # a failed row drops its subject, and 2 complete subjects are too few
         (lambda rows: rows[:2] + [rows[2][:3] + [b"error"] + [b""] * 3
                                   + [b"EstimationError: x"]] + rows[3:-6],

@@ -9,7 +9,7 @@ from scipy import signal as sp_signal
 
 from scalefree.errors import EstimationError, ParameterError, ScaleRangeError
 from scalefree.scaling import (ScalingFit, SpectrumEstimate, _octave_design,
-                               _ols_line, _psd_window,
+                               _ols_design, _ols_fit, _psd_window,
                                default_segment_length, estimate_hurst,
                                fit_loglog, fit_psd_powerlaw,
                                hurst_from_pyramid, scale_to_frequency,
@@ -88,7 +88,8 @@ class TestFitLoglog:
         y = rng.standard_normal(n) + 0.3 * x
         weights = rng.uniform(0.1, 10.0, n) if weighted else None
         # repr tells apart -0.0 and 0.0 and matches nan with nan
-        assert repr(_ols_line(x, y, weights)) == repr(ols_line(x, y, weights))
+        assert repr(_ols_fit(_ols_design(x, weights), y)) == repr(
+            ols_line(x, y, weights))
 
     @given(j1=st.integers(1, 8), width=st.integers(2, 9),
            seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
