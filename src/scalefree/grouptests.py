@@ -284,7 +284,9 @@ def anova_decomposition(cells: np.ndarray) -> dict:
     cells has shape (subjects, levels_A, levels_B).  Error terms are the
     subject-by-factor interactions; sphericity is assumed.
     """
-    y = np.asarray(cells, dtype=np.float64)
+    # numpy sums in memory order: a C-order copy makes the sums of squares
+    # depend on the values only, not on the layout of cells
+    y = np.ascontiguousarray(cells, dtype=np.float64)
     if y.ndim != 3:
         raise ParameterError(f"cells must be 3-D (S, A, B); got shape {y.shape}")
     if not np.all(np.isfinite(y)):

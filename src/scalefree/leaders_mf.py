@@ -165,32 +165,11 @@ def compute_leaders(pyramid: WaveletPyramid, gamma: float) -> LeaderPyramid:
     )
 
 
-@dataclass(frozen=True)
-class StructureFunctions:
-    """Empirical q-th moments of the leaders, octaves x q grid."""
-
-    q_grid: np.ndarray
-    values: np.ndarray       # shape (max_octave, len(q_grid))
-    log2_values: np.ndarray
-    gamma: float
-
-    @property
-    def max_octave(self) -> int:
-        return self.values.shape[0]
-
-
-def structure_functions(leaders: LeaderPyramid, q_grid) -> StructureFunctions:
-    """S(j, q) = mean over valid leaders of L^q, for every octave."""
-    q, values = _moments(leaders, q_grid, 1, leaders.max_octave)
-    return StructureFunctions(
-        q_grid=q, values=values, log2_values=np.log2(values),
-        gamma=leaders.gamma,
-    )
-
-
 def _moments(leaders: LeaderPyramid, q_grid, j1: int, j2: int) -> tuple:
-    """(q, S), S[j - j1] the row S(j, .) of octave j, for j1..j2.  Every
-    octave of the pyramid, fitted or not, must hold a valid leader."""
+    """(q, S): the structure functions S(j, q), the mean over the valid
+    leaders of octave j of L^q, with S[j - j1] the row of octave j, for
+    j1..j2.  Every octave of the pyramid, fitted or not, must hold a valid
+    leader."""
     q = np.asarray(q_grid, dtype=np.float64)
     if q.size == 0:
         raise ParameterError("q_grid is empty")
@@ -213,19 +192,6 @@ def _zeta(q: np.ndarray, rows: np.ndarray, j1: int, j2: int,
     fits = [fit_loglog(zip(range(j1, j2 + 1), column), j1, j2)
             for column in rows.T]
     return fits, np.column_stack([q, [f.slope for f in fits] - offset * q])
-
-
-def zeta_exponents(sf: StructureFunctions, j1: int, j2: int) -> np.ndarray:
-    """Per-q slope of log2 S(j, q) over j1..j2, gamma-corrected.
-
-    Returns an array of (q, zeta_hat) rows with
-    zeta_hat(q) = zeta_hat(q, gamma) - gamma q.
-    """
-    if not 1 <= j1 < j2 <= sf.max_octave:
-        raise ScaleRangeError(
-            f"octave range ({j1}, {j2}) outside available 1..{sf.max_octave}"
-        )
-    return _zeta(sf.q_grid, sf.values[j1 - 1:j2], j1, j2, sf.gamma)[1]
 
 
 def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
@@ -255,7 +221,7 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
                     for v in valid])  # (n_octaves, p_max)
 
     x = np.array(octaves, dtype=np.float64) * math.log(2.0)
-    design = _ols_design(x, None)
+    design = _ols_design(x)
     c_p = np.empty(p_max)
     r2 = np.empty(p_max)
     for p in range(p_max):
@@ -333,22 +299,6 @@ def legendre_spectrum(zeta_pairs) -> np.ndarray:
     d_vals = np.min(1.0 + np.outer(h_grid, q) - zeta[None, :], axis=1)
     keep = d_vals >= 0.0
     return np.column_stack([h_grid[keep], d_vals[keep]])
-
-
-def parabolic_spectrum(c1: float, c2: float, h_grid) -> np.ndarray:
-    """Log-normal approximation D(h) = 1 - (h - c1)^2 / (2 |c2|).
-
-    c2 must be <= 0; c2 = 0 degenerates to the single point (c1, 1).
-    Returns (h, D) rows clipped to D >= 0.
-    """
-    if c2 > 0:
-        raise ParameterError(f"c2={c2} must be <= 0")
-    if c2 == 0:
-        return np.array([[c1, 1.0]])
-    h = np.asarray(h_grid, dtype=np.float64)
-    d = 1.0 - (h - c1) ** 2 / (2.0 * abs(c2))
-    keep = d >= 0.0
-    return np.column_stack([h[keep], d[keep]])
 
 
 @dataclass(frozen=True)

@@ -448,38 +448,6 @@ def load_dataset(config: AnalysisConfig) -> Dataset:
     return Dataset(subjects=tuple(subjects), runs=runs, taxonomy=taxonomy)
 
 
-def project_onto_maps(data: np.ndarray, maps: np.ndarray,
-                      cond_warn: float = 1e8) -> np.ndarray:
-    """Least-squares projection of voxel data onto spatial maps.
-
-    Solves min ||Y - U V^t||^2 via the closed form U = Y V (V^t V)^{-1}.
-
-    Raises:
-        ParameterError: when V^t V is singular; the message reports the
-            estimated rank of the map matrix.
-    """
-    y = np.asarray(data, dtype=np.float64)
-    v = np.asarray(maps, dtype=np.float64)
-    if y.ndim != 2 or v.ndim != 2 or y.shape[1] != v.shape[0]:
-        raise ParameterError(
-            f"shape mismatch: data {y.shape} cannot project onto maps {v.shape}"
-        )
-    gram = v.T @ v
-    cond = float(np.linalg.cond(gram))
-    if not math.isfinite(cond) or cond > 1.0 / np.finfo(np.float64).eps:
-        rank = int(np.linalg.matrix_rank(v))
-        raise ParameterError(
-            f"map matrix is rank-deficient (estimated rank {rank} of "
-            f"{v.shape[1]}); V^t V is singular"
-        )
-    if cond > cond_warn:
-        warnings.warn(
-            f"V^t V condition number {cond:.3e}; projection may be unstable",
-            stacklevel=2,
-        )
-    return y @ np.linalg.solve(gram, v.T).T
-
-
 def analyze_series(signal: Signal, config: AnalysisConfig) -> MfEstimate:
     """Spectrum path plus leader path for one series.
 

@@ -194,11 +194,10 @@ def wavelet_spectrum(pyramid: WaveletPyramid) -> SpectrumEstimate:
     )
 
 
-def _ols_design(x: np.ndarray, weights: np.ndarray | None) -> tuple:
-    """(x, w, xbar, x - xbar, sxx): what OLS fits on abscissa x share."""
-    if weights is None:
-        weights = np.ones_like(x)
-    w = weights / weights.sum()
+def _ols_design(x: np.ndarray) -> tuple:
+    """(x, w, xbar, x - xbar, sxx): what OLS fits on abscissa x share, w
+    the uniform weights 1/n."""
+    w = np.ones_like(x) / x.size
     xbar = float(np.dot(w, x))
     dx = x - xbar
     sxx = float(np.dot(w, dx ** 2))
@@ -209,8 +208,8 @@ def _ols_design(x: np.ndarray, weights: np.ndarray | None) -> tuple:
 
 @lru_cache(maxsize=16)
 def _octave_design(j1: int, j2: int) -> tuple:
-    """The unweighted design of octaves j1..j2, arrays read-only."""
-    design = _ols_design(np.arange(j1, j2 + 1, dtype=np.float64), None)
+    """The design of octaves j1..j2, arrays read-only."""
+    design = _ols_design(np.arange(j1, j2 + 1, dtype=np.float64))
     for a in (design[0], design[1], design[3]):  # x, w, x - xbar
         a.setflags(write=False)
     return design
@@ -234,13 +233,11 @@ def _ols_fit(design: tuple, y: np.ndarray):
     return slope, intercept, stderr, r_squared
 
 
-def fit_loglog(points, j1: int, j2: int,
-               weights: np.ndarray | None = None) -> ScalingFit:
+def fit_loglog(points, j1: int, j2: int) -> ScalingFit:
     """OLS of log2(value) on octave over j1..j2.
 
     points: iterable of (octave, value) pairs; every octave in [j1, j2] must
-    be present with a strictly positive value.  weights (optional, aligned
-    with j1..j2) switch on weighted regression; plain OLS is the default.
+    be present with a strictly positive value.
     """
     if j2 - j1 < 2:
         raise ParameterError(f"octave range ({j1}, {j2}) too narrow; need j2-j1 >= 2")
@@ -257,13 +254,7 @@ def fit_loglog(points, j1: int, j2: int,
         raise ParameterError(
             f"nonpositive value at octave {int(bad[0])}; cannot take log2"
         )
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != octs.shape or np.any(weights <= 0):
-            raise ParameterError("weights must be positive and aligned with j1..j2")
-    design = (_octave_design(j1, j2) if weights is None
-              else _ols_design(octs.astype(np.float64), weights))
-    slope, intercept, stderr, r2 = _ols_fit(design, np.log2(vals))
+    slope, intercept, stderr, r2 = _ols_fit(_octave_design(j1, j2), np.log2(vals))
     return ScalingFit(
         slope=slope, intercept=intercept, stderr_slope=stderr,
         octave_range=(j1, j2), r_squared=r2, n_points=octs.size,
@@ -283,22 +274,6 @@ def estimate_hurst(fit: ScalingFit) -> HurstEstimate:
     return HurstEstimate(beta=beta, hurst=hurst, stationary=bool(hurst < 1.0))
 
 
-def hurst_from_pyramid(pyramid: WaveletPyramid, j1: int, j2: int,
-                       weighted: bool = False):
-    """Convenience composition: wavelet spectrum -> fit -> Hurst mapping.
-
-    Returns (ScalingFit, HurstEstimate).
-    """
-    spectrum = wavelet_spectrum(pyramid)
-    weights = None
-    if weighted:
-        n_valid = pyramid.n_valid
-        weights = np.array([n_valid[j - 1] for j in range(j1, j2 + 1)],
-                           dtype=np.float64)
-    fit = fit_loglog(spectrum.octave_pairs(), j1, j2, weights=weights)
-    return fit, estimate_hurst(fit)
-
-
 def fit_psd_powerlaw(spectrum: SpectrumEstimate, f_min: float,
                      f_max: float) -> PsdPowerLawFit:
     """Fit power ~ f^-beta on a frequency band of a PSD estimate."""
@@ -313,8 +288,7 @@ def fit_psd_powerlaw(spectrum: SpectrumEstimate, f_min: float,
     p = spectrum.power[mask]
     if np.any(p <= 0):
         raise ParameterError("nonpositive power inside the fit band")
-    slope, intercept, stderr, r2 = _ols_fit(_ols_design(np.log2(f), None),
-                                              np.log2(p))
+    slope, intercept, stderr, r2 = _ols_fit(_ols_design(np.log2(f)), np.log2(p))
     return PsdPowerLawFit(
         beta=-slope, intercept=intercept, stderr_beta=stderr,
         r_squared=r2, n_points=f.size, band=(f_min, f_max),

@@ -10,7 +10,7 @@ from the orthonormal filter-bank output by a 2^(-j/2) rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,7 +192,6 @@ class WaveletPyramid:
     wavelet: MotherWavelet
     source_scale: float = 1.0
     label: str = ""
-    normalization: str = field(default="l1")
 
     @property
     def max_octave(self) -> int:
@@ -219,32 +218,6 @@ class WaveletPyramid:
     def valid_values(self, j: int) -> np.ndarray:
         """Boundary-free coefficients at octave j."""
         return self.level(j)[self.valid_slice(j)]
-
-    def rescaled(self, normalization: str) -> "WaveletPyramid":
-        """Exact conversion between the L1 and L2 coefficient conventions.
-
-        Level j is multiplied by 2^(j/2) when going L1 -> L2 and by
-        2^(-j/2) when going back.
-        """
-        if normalization not in ("l1", "l2"):
-            raise ParameterError(f"unknown normalization {normalization!r}")
-        if normalization == self.normalization:
-            return self
-        sign = +0.5 if normalization == "l2" else -0.5
-        coeffs = tuple(
-            c * 2.0 ** (sign * j) for j, c in enumerate(self.coeffs, start=1)
-        )
-        return WaveletPyramid(
-            coeffs=coeffs,
-            valid_start=self.valid_start,
-            valid_stop=self.valid_stop,
-            source_length=self.source_length,
-            sampling_rate=self.sampling_rate,
-            wavelet=self.wavelet,
-            source_scale=self.source_scale,
-            label=self.label,
-            normalization=normalization,
-        )
 
 
 def max_feasible_octave(n_samples: int, wavelet: MotherWavelet) -> int:

@@ -216,14 +216,12 @@ def csv_outputs_by_csv_writer(report, subjects, labels, sampling_rate):
     }
 
 
-def ols_line(x, y, weights):
-    """Weighted OLS of y on x in one pass, as the library computed it before
-    the fit was split into a shared design and a per-ordinate step:
-    (slope, intercept, stderr of the slope, r^2)."""
+def ols_line(x, y):
+    """OLS of y on x in one pass, as the library computed it before the fit
+    was split into a shared design and a per-ordinate step: (slope,
+    intercept, stderr of the slope, r^2)."""
     from scalefree.errors import ParameterError
-    if weights is None:
-        weights = np.ones_like(x)
-    w = weights / weights.sum()
+    w = np.ones_like(x) / x.size
     xbar = float(np.dot(w, x))
     ybar = float(np.dot(w, y))
     sxx = float(np.dot(w, (x - xbar) ** 2))

@@ -17,8 +17,8 @@ from scalefree.grouptests import (bonferroni, one_sample_t, rm_anova_2way,
                                   wilcoxon_signed_rank)
 from scalefree.leaders_mf import log_cumulants, compute_leaders, \
     multifractal_estimate
-from scalefree.pipeline import AnalysisConfig, run_full_analysis
-from scalefree.scaling import (fit_psd_powerlaw, hurst_from_pyramid,
+from scalefree.pipeline import AnalysisConfig, _spectrum_rows, run_full_analysis
+from scalefree.scaling import (estimate_hurst, fit_psd_powerlaw,
                                scale_to_frequency, welch_psd)
 from scalefree.synth import GeneratorSpec, gen_fbm, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, build_wavelet, dwt
@@ -49,7 +49,7 @@ def fgn_ensembles(db3):
         for seed in range(N_SEEDS):
             sig = gen_fgn(GeneratorSpec("fgn", hurst, FGN_LENGTH, seed=seed))
             pyramid = dwt(sig, db3, 6)
-            _, h_est = hurst_from_pyramid(pyramid, 3, 6)
+            h_est = estimate_hurst(_spectrum_rows(pyramid, 3, 6)[0])
             mf = multifractal_estimate(
                 pyramid, 3, 6, reference_shift=1 if h_est.stationary else 0)
             rows.append((h_est.hurst, mf.c1, mf.c2))
@@ -102,7 +102,7 @@ def test_criterion_04_spectrum_agreement(db3):
     diffs = []
     for seed in range(N_SEEDS):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, FGN_LENGTH, seed=seed))
-        _, h_est = hurst_from_pyramid(dwt(sig, db3, 6), 3, 6)
+        h_est = estimate_hurst(_spectrum_rows(dwt(sig, db3, 6), 3, 6)[0])
         band = (scale_to_frequency(6, 1.0), scale_to_frequency(3, 1.0))
         welch_beta = fit_psd_powerlaw(welch_psd(sig), *band).beta
         diffs.append(abs(welch_beta - h_est.beta))

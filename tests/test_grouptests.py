@@ -352,6 +352,26 @@ class TestAnova:
                  + ss["AxS"] + ss["BxS"] + ss["AxBxS"])
         assert parts == pytest.approx(ss["total"], rel=1e-9)
 
+    @given(subjects=st.integers(3, 14), levels_a=st.integers(2, 3),
+           levels_b=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_memory_layout_leaves_results_unchanged(self, subjects, levels_a,
+                                                    levels_b, seed):
+        """The same values in C order, in Fortran order or as transposed,
+        non-contiguous views give bitwise-equal sums of squares and tests."""
+        cells = np.random.default_rng(seed).normal(
+            size=(subjects, levels_a, levels_b))
+        layouts = (np.asfortranarray(cells),
+                   cells.transpose(2, 1, 0).copy().transpose(2, 1, 0),
+                   cells.transpose(0, 2, 1).copy().transpose(0, 2, 1))
+        # repr tells apart every bit of a float and matches nan with nan
+        expected = (repr(anova_decomposition(cells)),
+                    repr(rm_anova_2way(cells)))
+        for y in layouts:
+            assert not y.flags.c_contiguous
+            assert (repr(anova_decomposition(y)),
+                    repr(rm_anova_2way(y))) == expected
+
     def test_permutation_null_uniform(self):
         rng = np.random.default_rng(99)
         n_perm = 500

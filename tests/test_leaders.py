@@ -9,12 +9,10 @@ from scipy.stats import kstat
 
 from scalefree.errors import (DegenerateInputError, ParameterError,
                               ScaleRangeError)
-from scalefree.leaders_mf import (DEFAULT_Q_GRID, _k_statistics,
+from scalefree.leaders_mf import (DEFAULT_Q_GRID, _k_statistics, _moments,
                                   compute_leaders, global_regularity,
                                   legendre_spectrum, log_cumulants,
-                                  multifractal_estimate, parabolic_spectrum,
-                                  select_gamma, structure_functions,
-                                  zeta_exponents)
+                                  multifractal_estimate, select_gamma)
 from scalefree.scaling import fit_loglog
 from scalefree.synth import GeneratorSpec, gen_fbm, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, WaveletPyramid, build_wavelet, dwt
@@ -181,13 +179,24 @@ class TestComputeLeaders:
             compute_leaders(single, 0.0)
 
 
+def moments(leaders, q_grid):
+    """S(j, q) of every octave of leaders, row j - 1 for octave j."""
+    return _moments(leaders, q_grid, 1, leaders.max_octave)[1]
+
+
+def estimate_zeta(pyramid, j1, j2, gamma, q_grid=(-1.0, 1.0, 2.0)):
+    """The (q, zeta_hat) rows that analyze_series computes, with gamma
+    fixed and the series' own exponents (no reference shift)."""
+    return multifractal_estimate(pyramid, j1, j2, q_grid=q_grid,
+                                 gamma_value=gamma).zeta
+
+
 class TestStructureFunctions:
     def test_constant_leaders_power_law(self, haar):
         m = 0.37
         arrays = [np.full(256 // 2**j, m) for j in range(1, 5)]
         p = make_pyramid(arrays, haar, source_length=256)
-        sf = structure_functions(compute_leaders(p, 0.0), [-1.0, 0.0, 1.0, 2.0])
-        for row in sf.values:
+        for row in moments(compute_leaders(p, 0.0), [-1.0, 0.0, 1.0, 2.0]):
             assert row[0] == pytest.approx(1 / m)
             assert row[1] == 1.0  # q = 0 exactly
             assert row[2] == pytest.approx(m)
@@ -195,13 +204,13 @@ class TestStructureFunctions:
 
     def test_q_zero_is_exactly_one(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2**12, seed=1))
-        sf = structure_functions(compute_leaders(dwt(sig, db3, 6), 2.0), [0.0])
-        assert np.all(sf.values == 1.0)
+        assert np.all(moments(compute_leaders(dwt(sig, db3, 6), 2.0), [0.0])
+                      == 1.0)
 
     def test_empty_q_grid(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2**12, seed=1))
         with pytest.raises(ParameterError):
-            structure_functions(compute_leaders(dwt(sig, db3, 6), 2.0), [])
+            moments(compute_leaders(dwt(sig, db3, 6), 2.0), [])
 
     def test_fbm_slope_qh(self, db3):
         # leaders of a motion need no weighting; slope of log2 S is ~ qH
@@ -209,29 +218,19 @@ class TestStructureFunctions:
         seeds = 20
         for s in range(seeds):
             sig = gen_fbm(GeneratorSpec("fbm", 0.7, 2**13, seed=s))
-            sf = structure_functions(
-                compute_leaders(dwt(sig, db3, 6), 0.0), [1.0, 2.0])
+            values = moments(compute_leaders(dwt(sig, db3, 6), 0.0), [1.0, 2.0])
             for i in range(2):
-                pairs = [(j, sf.values[j - 1, i]) for j in range(3, 7)]
-                from scalefree.scaling import fit_loglog
+                pairs = [(j, values[j - 1, i]) for j in range(3, 7)]
                 acc[i] += fit_loglog(pairs, 3, 6).slope
         acc /= seeds
         assert abs(acc[0] - 0.7) <= 0.1
         assert abs(acc[1] - 1.4) <= 0.15
 
-    def test_log2_values_consistent(self, db3):
-        sig = gen_fgn(GeneratorSpec("fgn", 0.6, 2**12, seed=2))
-        sf = structure_functions(compute_leaders(dwt(sig, db3, 6), 2.0),
-                                 DEFAULT_Q_GRID)
-        assert np.allclose(sf.log2_values, np.log2(sf.values))
-
     def test_log_s_convex_in_q_per_octave(self, db3):
         # moments of a positive variable: log S(j, q) convex in q
         sig = gen_mrw(GeneratorSpec("mrw", 0.5, 2**13, seed=6, lambda2=0.05))
-        sf = structure_functions(compute_leaders(dwt(sig, db3, 6), 0.5),
-                                 DEFAULT_Q_GRID)
-        q = sf.q_grid
-        for row in np.log(sf.values):
+        q = np.array(DEFAULT_Q_GRID)
+        for row in np.log(moments(compute_leaders(dwt(sig, db3, 6), 0.5), q)):
             chords = np.diff(row) / np.diff(q)
             assert np.all(np.diff(chords) >= -1e-9)
 
@@ -241,19 +240,15 @@ class TestZetaExponents:
         vals = []
         for s in range(20):
             sig = gen_fbm(GeneratorSpec("fbm", 0.7, 2**14, seed=s))
-            sf = structure_functions(
-                compute_leaders(dwt(sig, db3, 7), 0.0), [2.0])
-            vals.append(zeta_exponents(sf, 3, 6)[0, 1])
+            vals.append(estimate_zeta(dwt(sig, db3, 7), 3, 6, 0.0)[2, 1])
         assert abs(np.mean(vals) - 1.4) <= 0.1
 
     def test_mrw_strictly_concave_gap(self, db3):
         gaps = []
         for s in range(15):
             sig = gen_mrw(GeneratorSpec("mrw", 0.5, 2**14, seed=s, lambda2=0.08))
-            sf = structure_functions(
-                compute_leaders(dwt(sig, db3, 8), 0.0), [1.0, 2.0])
-            z = zeta_exponents(sf, 3, 8)
-            gaps.append(z[1, 1] - 2 * z[0, 1])
+            z = estimate_zeta(dwt(sig, db3, 8), 3, 8, 0.0)
+            gaps.append(z[2, 1] - 2 * z[1, 1])
         # concavity gap approximates c2 = -lambda2, clearly below zero
         assert np.mean(gaps) < -0.02
 
@@ -261,11 +256,8 @@ class TestZetaExponents:
         diffs = []
         for s in range(15):
             p = dwt(gen_fbm(GeneratorSpec("fbm", 0.7, 2**13, seed=s)), db3, 6)
-            z = {}
-            for gamma in (0.5, 1.0):
-                sf = structure_functions(compute_leaders(p, gamma),
-                                         [-1.0, 1.0, 2.0])
-                z[gamma] = zeta_exponents(sf, 3, 6)[:, 1]
+            z = {gamma: estimate_zeta(p, 3, 6, gamma)[:, 1]
+                 for gamma in (0.5, 1.0)}
             diffs.append(np.abs(z[0.5] - z[1.0]).max())
         assert np.mean(diffs) <= 0.03
 
@@ -355,11 +347,9 @@ class TestLogCumulants:
         big = Signal(123.0 * sig.samples, 1.0, "big")
         out = {}
         for name, s in (("unit", sig), ("big", big)):
-            leaders = compute_leaders(dwt(s, db3, 6), 2.0)
-            c_p, _ = log_cumulants(leaders, 3, 2, 6)
-            sf = structure_functions(leaders, [-1.0, 1.0, 2.0])
-            z = zeta_exponents(sf, 2, 6)
-            out[name] = (c_p, z)
+            pyramid = dwt(s, db3, 6)
+            c_p, _ = log_cumulants(compute_leaders(pyramid, 2.0), 3, 2, 6)
+            out[name] = (c_p, estimate_zeta(pyramid, 2, 6, 2.0))
         # c_p for p >= 2 and all zeta slopes are scale-free
         assert out["big"][0][1] == pytest.approx(out["unit"][0][1], abs=1e-10)
         assert out["big"][0][2] == pytest.approx(out["unit"][0][2], abs=1e-10)
@@ -398,28 +388,6 @@ class TestSpectra:
             dh = legendre_spectrum(pairs)
         assert dh.size > 0
 
-    def test_parabolic_degenerate_point(self):
-        out = parabolic_spectrum(0.6, 0.0, np.linspace(0, 1, 11))
-        assert out.shape == (1, 2)
-        assert tuple(out[0]) == (0.6, 1.0)
-
-    def test_parabolic_vertex_is_one(self):
-        for c2 in (-0.01, -0.07, -0.2):
-            out = parabolic_spectrum(0.75, c2, np.array([0.75]))
-            assert out[0, 1] == 1.0
-
-    def test_parabolic_paper_values(self):
-        out = parabolic_spectrum(0.75, -0.07, np.array([0.85]))
-        assert out[0, 1] == pytest.approx(1 - 0.01 / 0.14, abs=1e-12)
-
-    def test_parabolic_rejects_positive_c2(self):
-        with pytest.raises(ParameterError):
-            parabolic_spectrum(0.5, 0.1, np.array([0.5]))
-
-    def test_parabolic_clips_negative(self):
-        out = parabolic_spectrum(0.5, -0.02, np.linspace(-2, 3, 501))
-        assert np.all(out[:, 1] >= 0.0)
-
     def test_spectrum_width_grows_with_intermittency(self, db3):
         # width of {h : D(h) >= 0.9} tracks the cascade strength
         widths = {}
@@ -455,21 +423,18 @@ class TestMultifractalEstimate:
         est = multifractal_estimate(pyramid, j1, j2, gamma_mode=gamma[0],
                                     gamma_value=gamma[1],
                                     reference_shift=shift)
-        sf = structure_functions(compute_leaders(pyramid, est.gamma),
-                                 DEFAULT_Q_GRID)
-        fits = [fit_loglog([(j, sf.values[j - 1, iq])
+        q = np.array(DEFAULT_Q_GRID)
+        values = moments(compute_leaders(pyramid, est.gamma), q)
+        fits = [fit_loglog([(j, values[j - 1, iq])
                             for j in range(j1, j2 + 1)], j1, j2)
-                for iq in range(sf.q_grid.size)]
-        zeta = np.empty((sf.q_grid.size, 2))
-        zeta[:, 0] = sf.q_grid
-        zeta[:, 1] = ([f.slope for f in fits]
-                      - (sf.gamma - shift) * sf.q_grid)
+                for iq in range(q.size)]
+        zeta = np.empty((q.size, 2))
+        zeta[:, 0] = q
+        zeta[:, 1] = [f.slope for f in fits] - (est.gamma - shift) * q
         assert est.zeta.tobytes() == zeta.tobytes()
         assert (est.diagnostics["zeta_r_squared"].tobytes()
                 == np.array([f.r_squared for f in fits]).tobytes())
         assert est.spectrum.tobytes() == legendre_spectrum(zeta).tobytes()
-        if shift == 0:
-            assert est.zeta.tobytes() == zeta_exponents(sf, j1, j2).tobytes()
 
     def test_octave_without_leader_below_range_still_fails(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=3))

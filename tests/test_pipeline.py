@@ -21,8 +21,7 @@ from scalefree.leaders_mf import compute_leaders, legendre_spectrum, select_gamm
 from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
                                 analyze_series, load_dataset,
                                 load_estimates_csv, load_taxonomy,
-                                project_onto_maps, run_full_analysis,
-                                synthetic_taxonomy)
+                                run_full_analysis, synthetic_taxonomy)
 from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw
 from scalefree.scaling import welch_psd
 from scalefree.wavelet import Signal, build_wavelet, dwt
@@ -530,37 +529,6 @@ class TestLocatedErrorFuzz:
                  for label in ("f_1", "a_1", "u_1")] for sid in table.subjects]
 
 
-class TestProjection:
-    def test_orthonormal_maps_reduce_to_product(self):
-        rng = np.random.default_rng(0)
-        q, _ = np.linalg.qr(rng.standard_normal((50, 4)))
-        y = rng.standard_normal((20, 50))
-        u = project_onto_maps(y, q)
-        assert np.allclose(u, y @ q, atol=1e-12)
-
-    def test_exact_model_recovery(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal((50, 4))
-        u0 = rng.standard_normal((20, 4))
-        u = project_onto_maps(u0 @ v.T, v)
-        assert np.allclose(u, u0, atol=1e-10)
-
-    def test_matches_lstsq_oracle(self):
-        rng = np.random.default_rng(2)
-        y = rng.standard_normal((20, 50))
-        v = rng.standard_normal((50, 4))
-        u = project_onto_maps(y, v)
-        ref = np.linalg.lstsq(v, y.T, rcond=None)[0].T
-        assert np.allclose(u, ref, atol=1e-8)
-
-    def test_singular_maps_report_rank(self):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal((30, 3))
-        v = np.column_stack([v, v[:, 0]])  # rank 3 of 4
-        with pytest.raises(ParameterError, match="rank 3"):
-            project_onto_maps(rng.standard_normal((10, 30)), v)
-
-
 @lru_cache(maxsize=None)
 def affine_series(i: int) -> np.ndarray:
     """Three fGn and three MRW increment series of 2048 samples."""
@@ -805,6 +773,44 @@ class TestRunFullAnalysis:
                 key: len(e.diagnostics["spectrum_rows"] if name == "spectra.csv"
                          else e.spectrum)
                 for key, e in report.results.items()}
+
+    def test_synthetic_study_read_back_from_files(self, tmp_path):
+        """A synthetic study written as %.17g run CSVs and its taxonomy CSV,
+        then read through inputs, gives the same per-series files and
+        p-values byte for byte, and the same report but its provenance."""
+        synthetic = AnalysisConfig(synthetic=SMALL_SYNTH, seed=3,
+                                   output_dir=str(tmp_path / "synthetic"))
+        run_full_analysis(synthetic)
+        dataset = pipeline._build_dataset(synthetic)
+        taxonomy = synthetic_taxonomy(3, 2, 1)
+        tax = tmp_path / "taxonomy.csv"
+        tax.write_text("map_index,class,network_or_artifact\n" + "".join(
+            f"{k},{cls},{tag}\n" for k, (cls, tag)
+            in enumerate(zip(taxonomy.classes, taxonomy.tags), start=1)))
+        subjects = []
+        for sid in dataset.subjects:
+            entry = {"id": sid}
+            for state in ("rest", "task"):
+                matrix = dataset.runs[sid, state].matrix(synthetic)
+                entry[state] = str(tmp_path / f"{sid}_{state}.csv")
+                np.savetxt(entry[state], np.column_stack(
+                    [np.arange(len(matrix)), matrix]), fmt="%.17g",
+                    delimiter=",", comments="", header="t," + ",".join(
+                        f"map_{k}" for k in range(1, matrix.shape[1] + 1)))
+            subjects.append(entry)
+        run_full_analysis(AnalysisConfig(
+            inputs={"taxonomy": str(tax), "subjects": subjects},
+            output_dir=str(tmp_path / "files")))
+        for name in ("estimates.csv", "spectra.csv", "dh_curves.csv",
+                     "pvalues.csv"):
+            assert ((tmp_path / "files" / name).read_bytes()
+                    == (tmp_path / "synthetic" / name).read_bytes()), name
+        reports = []
+        for out in ("synthetic", "files"):
+            doc = json.loads((tmp_path / out / "group_report.json").read_text())
+            del doc["provenance"]
+            reports.append(json.dumps(doc, sort_keys=True))
+        assert reports[0] == reports[1]
 
     def test_synthetic_recipes_expand_to_samples(self):
         cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from scalefree.errors import EstimationError, ParameterError, ScaleRangeError
+from scalefree.pipeline import _spectrum_rows
 from scalefree.scaling import (ScalingFit, SpectrumEstimate, _octave_design,
                                _ols_design, _ols_fit, _psd_window,
                                default_segment_length, estimate_hurst,
                                fit_loglog, fit_psd_powerlaw,
-                               hurst_from_pyramid, scale_to_frequency,
-                               welch_psd, wavelet_spectrum)
+                               scale_to_frequency, welch_psd,
+                               wavelet_spectrum)
 from scalefree.synth import GeneratorSpec, gen_fgn
 from scalefree.wavelet import Signal, dwt
 
@@ -26,6 +27,13 @@ from oracles import ols_line
 # which rounds differently: about 1e-14 relative at worst.
 SCIPY_WELCH_BITWISE = tuple(
     int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 17)
+
+
+def wavelet_hurst(pyramid, j1, j2):
+    """(fit, HurstEstimate): the spectrum fit over j1..j2 and its Hurst
+    mapping, as analyze_series computes them."""
+    fit = _spectrum_rows(pyramid, j1, j2)[0]
+    return fit, estimate_hurst(fit)
 
 
 class TestScaleToFrequency:
@@ -80,34 +88,30 @@ class TestFitLoglog:
             fit_loglog([(1, 1.0), (2, 1.0)], 1, 2)
 
     @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
-           scale=st.floats(1e-3, 1e3), weighted=st.booleans())
+           scale=st.floats(1e-3, 1e3))
     @settings(max_examples=200, deadline=None)
-    def test_ols_line_equals_one_pass_oracle(self, n, seed, scale, weighted):
+    def test_ols_line_equals_one_pass_oracle(self, n, seed, scale):
         rng = np.random.default_rng(seed)
         x = scale * rng.standard_normal(n)
         y = rng.standard_normal(n) + 0.3 * x
-        weights = rng.uniform(0.1, 10.0, n) if weighted else None
         # repr tells apart -0.0 and 0.0 and matches nan with nan
-        assert repr(_ols_fit(_ols_design(x, weights), y)) == repr(
-            ols_line(x, y, weights))
+        assert repr(_ols_fit(_ols_design(x), y)) == repr(ols_line(x, y))
 
     @given(j1=st.integers(1, 8), width=st.integers(2, 9),
-           seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
-           cleared=st.booleans())
+           seed=st.integers(0, 2**32 - 1), cleared=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_equals_one_pass_oracle(self, j1, width, seed, weighted, cleared):
+    def test_equals_one_pass_oracle(self, j1, width, seed, cleared):
         """Memoised designs, on a hit and after cache_clear, give the fit
         of the one-pass OLS bit for bit."""
         j2 = j1 + width
         rng = np.random.default_rng(seed)
         values = rng.lognormal(0.0, 3.0, width + 1)
-        weights = rng.uniform(0.1, 10.0, width + 1) if weighted else None
         expected = ols_line(np.arange(j1, j2 + 1).astype(np.float64),
-                            np.log2(values), weights)
+                            np.log2(values))
         if cleared:
             _octave_design.cache_clear()
         for _ in range(2):
-            fit = fit_loglog(zip(range(j1, j2 + 1), values), j1, j2, weights)
+            fit = fit_loglog(zip(range(j1, j2 + 1), values), j1, j2)
             assert repr((fit.slope, fit.intercept, fit.stderr_slope,
                          fit.r_squared)) == repr(expected)
 
@@ -117,13 +121,6 @@ class TestFitLoglog:
         for a in (x, w, dx):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-
-    def test_weighted_matches_plain_for_equal_weights(self):
-        points = [(j, 2.0 ** (-0.6 * j) * (1 + 0.05 * ((-1) ** j)))
-                  for j in range(1, 7)]
-        plain = fit_loglog(points, 1, 6)
-        weighted = fit_loglog(points, 1, 6, weights=np.full(6, 3.0))
-        assert weighted.slope == pytest.approx(plain.slope, abs=1e-12)
 
 
 class TestEstimateHurst:
@@ -145,18 +142,9 @@ class TestEstimateHurst:
         estimates = []
         for seed in range(30):
             sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2**13, seed=seed))
-            _, hurst = hurst_from_pyramid(dwt(sig, db3, 6), 3, 6)
+            _, hurst = wavelet_hurst(dwt(sig, db3, 6), 3, 6)
             estimates.append(hurst.hurst)
         assert abs(np.mean(estimates) - 0.7) <= 0.03
-
-    def test_weighted_fit_weights_octaves_by_valid_counts(self, db3):
-        pyramid = dwt(gen_fgn(GeneratorSpec("fgn", 0.7, 2**12, seed=4)), db3, 7)
-        for j1, j2 in ((3, 6), (2, 7)):
-            fit, hurst = hurst_from_pyramid(pyramid, j1, j2, weighted=True)
-            ref = fit_loglog(wavelet_spectrum(pyramid).octave_pairs(), j1, j2,
-                             weights=pyramid.n_valid[j1 - 1:j2])
-            assert fit == ref and hurst == estimate_hurst(ref)
-            assert fit != hurst_from_pyramid(pyramid, j1, j2)[0]
 
 
 class TestWelch:
@@ -258,8 +246,8 @@ class TestWaveletSpectrum:
     def test_amplitude_invariance(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=2))
         big = Signal(37.0 * sig.samples, 1.0, "big")
-        fit1, h1 = hurst_from_pyramid(dwt(sig, db3, 6), 3, 6)
-        fit2, h2 = hurst_from_pyramid(dwt(big, db3, 6), 3, 6)
+        fit1, h1 = wavelet_hurst(dwt(sig, db3, 6), 3, 6)
+        fit2, h2 = wavelet_hurst(dwt(big, db3, 6), 3, 6)
         assert fit2.slope == pytest.approx(fit1.slope, abs=1e-12)
         assert h2.hurst == pytest.approx(h1.hurst, abs=1e-12)
         assert fit2.intercept - fit1.intercept == pytest.approx(
@@ -276,7 +264,7 @@ class TestWaveletSpectrum:
         assert p2 / p1 == pytest.approx((f2 / f1) ** -welch_fit.beta, rel=1e-12)
 
         # on the L1 wavelet line the same relation carries the -(beta-1) slope
-        fit, hurst = hurst_from_pyramid(dwt(sig, db3, 6), 3, 6)
+        fit, hurst = wavelet_hurst(dwt(sig, db3, 6), 3, 6)
         fs = sig.sampling_rate
         f3, f6 = scale_to_frequency(3, fs), scale_to_frequency(6, fs)
         p3 = 2.0 ** (fit.intercept + fit.slope * 3)
@@ -304,8 +292,8 @@ class TestWaveletSpectrum:
     def test_decimation_shifts_one_octave(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2**14, seed=8))
         dec = Signal(sig.samples[::2], sig.sampling_rate / 2.0, "dec")
-        full_fit, _ = hurst_from_pyramid(dwt(sig, db3, 7), 3, 7)
-        dec_fit, _ = hurst_from_pyramid(dwt(dec, db3, 6), 3, 6)
+        full_fit, _ = wavelet_hurst(dwt(sig, db3, 7), 3, 7)
+        dec_fit, _ = wavelet_hurst(dwt(dec, db3, 6), 3, 6)
         assert abs(dec_fit.slope - full_fit.slope) <= 0.15
         # same physical frequency: octave j of the decimated series sits at
         # octave j+1 of the original
@@ -324,7 +312,7 @@ class TestWelchWaveletAgreement:
         diffs = []
         for seed in range(30):
             sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2**13, seed=seed))
-            _, hurst = hurst_from_pyramid(dwt(sig, db3, 6), 3, 6)
+            _, hurst = wavelet_hurst(dwt(sig, db3, 6), 3, 6)
             band = (scale_to_frequency(6, 1.0), scale_to_frequency(3, 1.0))
             welch_fit = fit_psd_powerlaw(welch_psd(sig), *band)
             diffs.append(welch_fit.beta - hurst.beta)

@@ -136,16 +136,6 @@ class TestDwt:
         assert p1.valid_start == p2.valid_start
         assert p1.valid_stop == p2.valid_stop
 
-    def test_l1_l2_rescaling_roundtrip(self, db3):
-        x = np.random.default_rng(3).standard_normal(512)
-        p = dwt(Signal(x, 1.0, "x"), db3, 4)
-        p2 = p.rescaled("l2")
-        for j in range(1, 5):
-            assert np.allclose(p2.level(j), p.level(j) * 2.0 ** (j / 2.0))
-        back = p2.rescaled("l1")
-        for j in range(1, 5):
-            assert np.allclose(back.level(j), p.level(j))
-
     def test_parseval_periodic_variant(self, db3):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(512)
