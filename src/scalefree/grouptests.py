@@ -6,6 +6,14 @@ with both factors within subject.  Sidedness conventions: c1 and H are
 tested one-sided (greater than 0.5 against the white-noise null; rest
 greater than task in the paired tests); c2 is tested against 0, one-sided
 (less) in the one-sample battery and two-sided in the paired battery.
+
+P-values come from scipy.special, not scipy.stats, whose import costs
+more than the rest of the package: special.stdtr(df, -t) and
+special.stdtr(df, t) are the bodies of scipy.stats.t.sf and t.cdf,
+special.ndtr(-z) and special.ndtr(z) those of norm.sf and norm.cdf, and
+special.fdtrc(d1, d2, F) that of f.sf for F >= 0, so each p-value has the
+bits scipy.stats gives.  _average_ranks gives the ranks of
+scipy.stats.rankdata's default method.
 """
 
 from __future__ import annotations
@@ -13,9 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy import special
 
 from .errors import DataFormatError, ParameterError
 
@@ -192,19 +201,40 @@ def one_sample_t(values, mu0: float, sidedness: str = "greater") -> TestResult:
         return TestResult(t, 0.0, f"{df}", "t_one", sidedness, degenerate=True)
     t = (mean - mu0) / (sd / math.sqrt(n))
     if sidedness == "greater":
-        p = float(sp_stats.t.sf(t, df))
+        p = float(special.stdtr(df, -t))
     elif sidedness == "less":
-        p = float(sp_stats.t.cdf(t, df))
+        p = float(special.stdtr(df, t))
     else:
-        p = float(2.0 * sp_stats.t.sf(abs(t), df))
+        p = float(2.0 * special.stdtr(df, -abs(t)))
     return TestResult(t, p, f"{df}", "t_one", sidedness)
 
 
-def _wsr_exact_p(ranks: np.ndarray, w_obs: float, sidedness: str) -> float:
-    n = ranks.size
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a, tied values sharing the mean of their ranks (exact
+    half-integers): scipy.stats.rankdata's default, NaN propagating."""
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="mergesort")
+    sorted_a = a[order]
+    # sorted positions where a run of equal values starts, and the end
+    bounds = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1], True])
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + 1 + bounds[1:]),
+                             np.diff(bounds))
+    return ranks
+
+
+@lru_cache(maxsize=WSR_EXACT_MAX_N)
+def _sign_patterns(n: int) -> np.ndarray:
+    """The (2^n, n) 0/1 matrix whose rows are all sign patterns, read-only."""
     masks = np.arange(2**n, dtype=np.uint32)
     bits = (masks[:, None] >> np.arange(n)) & 1
-    w_all = bits @ ranks
+    bits.setflags(write=False)
+    return bits
+
+
+def _wsr_exact_p(ranks: np.ndarray, w_obs: float, sidedness: str) -> float:
+    w_all = _sign_patterns(ranks.size) @ ranks
     eps = 1e-9
     p_greater = float(np.mean(w_all >= w_obs - eps))
     p_less = float(np.mean(w_all <= w_obs + eps))
@@ -223,11 +253,11 @@ def _wsr_normal_p(ranks: np.ndarray, w_obs: float, sidedness: str) -> float:
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     sd = math.sqrt(var)
     if sidedness == "greater":
-        return float(sp_stats.norm.sf((w_obs - mean - 0.5) / sd))
+        return float(special.ndtr(-((w_obs - mean - 0.5) / sd)))
     if sidedness == "less":
-        return float(sp_stats.norm.cdf((w_obs - mean + 0.5) / sd))
+        return float(special.ndtr((w_obs - mean + 0.5) / sd))
     z = (w_obs - mean - 0.5 * np.sign(w_obs - mean)) / sd  # W+ = mean: p = 1
-    return float(min(1.0, 2.0 * sp_stats.norm.sf(abs(z))))
+    return float(min(1.0, 2.0 * special.ndtr(-abs(z))))
 
 
 def wilcoxon_signed_rank(values, mu0: float,
@@ -248,7 +278,7 @@ def wilcoxon_signed_rank(values, mu0: float,
                           degenerate=True)
     if n < 3:
         raise ParameterError(f"need n >= 3 nonzero differences, got {n}")
-    ranks = sp_stats.rankdata(np.abs(diffs))
+    ranks = _average_ranks(np.abs(diffs))
     w_obs = float(ranks[diffs > 0].sum())
     if n <= WSR_EXACT_MAX_N:
         p = _wsr_exact_p(ranks, w_obs, sidedness)
@@ -344,7 +374,7 @@ def rm_anova_2way(cells: np.ndarray):
                 "anova_rm2", "two", degenerate=True))
             continue
         f_stat = ms_effect / ms_error
-        p = float(sp_stats.f.sf(f_stat, df[effect], df[error]))
+        p = float(special.fdtrc(df[effect], df[error], f_stat))
         results.append(TestResult(
             float(f_stat), p, f"({df[effect]}, {df[error]})",
             "anova_rm2", "two"))

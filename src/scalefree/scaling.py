@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
-from scipy.signal import get_window
 
 from .errors import EstimationError, ParameterError, ScaleRangeError
 from .wavelet import Signal, WaveletPyramid
@@ -154,8 +153,21 @@ def _check_welch(segment_length: int | None, overlap_fraction: float, window: st
 
 @lru_cache(maxsize=8)
 def _psd_window(window: str, segment_length: int, fs: float) -> np.ndarray:
-    """The window scaled for PSD density at rate fs, read-only."""
-    win = get_window("hann" if window == "hann" else "boxcar", segment_length)
+    """The window scaled for PSD density at rate fs, read-only.
+
+    Before scaling it equals the window scipy.signal.welch takes for
+    "hann" or "boxcar", bitwise: the periodic Hann window is built with the
+    operations of scipy's general-cosine window, in their order, on
+    segment_length + 1 points with the last one dropped.
+    """
+    if window == "hann":
+        fac = np.linspace(-np.pi, np.pi, segment_length + 1)
+        win = np.zeros(segment_length + 1)
+        for k in (0, 1):
+            win += 0.5 * np.cos(k * fac)
+        win = win[:-1]
+    else:
+        win = np.ones(segment_length)
     win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
     win.setflags(write=False)
     return win

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as sp_stats
 
 from scalefree.errors import DataFormatError, ParameterError
-from scalefree.grouptests import (CLASSES, PARAMS, STATES, GroupTable,
-                                  MapTaxonomy, aggregate, anova_decomposition,
-                                  bonferroni, one_sample_t, paired_t_two_state,
+from scalefree.grouptests import (CLASSES, ONE_SAMPLE_NULLS, PARAMS, STATES,
+                                  GroupTable, MapTaxonomy, aggregate,
+                                  anova_decomposition, bonferroni,
+                                  one_sample_t, paired_t_two_state,
                                   rm_anova_2way, run_battery,
-                                  WSR_EXACT_MAX_N, wilcoxon_signed_rank)
+                                  WSR_EXACT_MAX_N, _average_ranks,
+                                  _sign_patterns, wilcoxon_signed_rank)
 
 from oracles import anova_by_hand, battery_rows_by_hand, wsr_brute_force
 
@@ -512,3 +515,94 @@ class TestBattery:
         est[2, 1, 0, 1] = np.nan
         with pytest.raises(ParameterError, match="missing cell"):
             table_from(est)
+
+
+def wsr_normal_p_by_scipy(values, mu0, sidedness):
+    """The normal-approximation Wilcoxon p-value from scipy.stats' rankdata
+    and norm, with the battery's continuity and tie corrections."""
+    d = np.asarray(values, dtype=np.float64) - mu0
+    d = d[d != 0.0]
+    ranks = sp_stats.rankdata(np.abs(d))
+    w = float(ranks[d > 0].sum())
+    n = d.size
+    mean = n * (n + 1) / 4.0
+    _, ties = np.unique(ranks, return_counts=True)
+    sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0
+                   - float(np.sum(ties**3 - ties)) / 48.0)
+    if sidedness == "greater":
+        return float(sp_stats.norm.sf((w - mean - 0.5) / sd))
+    if sidedness == "less":
+        return float(sp_stats.norm.cdf((w - mean + 0.5) / sd))
+    z = (w - mean - 0.5 * np.sign(w - mean)) / sd
+    return float(min(1.0, 2.0 * sp_stats.norm.sf(abs(z))))
+
+
+class TestScipyParity:
+    """The battery's scipy.special calls and rank helper give the bits of
+    the scipy.stats functions they replace."""
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+                              st.floats(-1e6, 1e6)), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_average_ranks_equal_rankdata(self, values):
+        for a in (np.array(values, dtype=np.float64),
+                  np.abs(np.array(values, dtype=np.float64))):
+            ranks = _average_ranks(a)
+            ref = sp_stats.rankdata(a)
+            assert ranks.dtype == ref.dtype
+            assert np.array_equal(ranks, ref)
+
+    def test_average_ranks_propagate_nan(self):
+        a = np.array([1.0, np.nan, 1.0])
+        assert np.array_equal(_average_ranks(a), sp_stats.rankdata(a),
+                              equal_nan=True)
+
+    def test_special_functions_equal_distributions(self):
+        rng = np.random.default_rng(5)
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+        x = np.concatenate([edges, rng.normal(0.0, 3.0, 200),
+                            rng.standard_cauchy(50)])
+        same = lambda a, b: np.array_equal(a, b, equal_nan=True)  # noqa: E731
+        for df in (1, 2, 5, 11, 41, 1000):
+            assert same(special.stdtr(df, -x), sp_stats.t.sf(x, df))
+            assert same(special.stdtr(df, x), sp_stats.t.cdf(x, df))
+        assert same(special.ndtr(-x), sp_stats.norm.sf(x))
+        assert same(special.ndtr(x), sp_stats.norm.cdf(x))
+        # an F statistic is a ratio of sums of squares: never below 0, where
+        # fdtrc is nan and f.sf is 1
+        f = np.abs(x)
+        for d1, d2 in ((1, 2), (1, 11), (2, 22), (41, 451)):
+            assert same(special.fdtrc(d1, d2, f), sp_stats.f.sf(f, d1, d2))
+
+    def test_normal_wilcoxon_and_f_tests_end_to_end(self):
+        table = random_table(8, subjects=WSR_EXACT_MAX_N + 2,
+                             taxonomy=interleaved_taxonomy())
+        report = run_battery(table)
+        blocks = {level: {unit: table.estimates[:, idx].mean(axis=1)
+                          for unit, idx in units.items()}
+                  for level, units in table.taxonomy.units().items() if units}
+        n_checked = 0
+        for level, units in report.one_sample.items():
+            for unit, states in units.items():
+                for j, state in enumerate(STATES):
+                    for ip, param in enumerate(PARAMS):
+                        mu0, sidedness = ONE_SAMPLE_NULLS[param]
+                        p = wsr_normal_p_by_scipy(
+                            blocks[level][unit][:, j, ip], mu0, sidedness)
+                        assert states[state][param]["wsr"].p_value == p
+                        n_checked += 1
+        assert n_checked == sum(len(u) for u in blocks.values()) * 6
+        f_tests = [res for sources in report.anova.values()
+                   for results in sources.values() for res in results.values()]
+        assert len(f_tests) == 5 * 3 * 3  # 5 ANOVAs x 3 parameters x 3 effects
+        for res in f_tests:
+            d1, d2 = map(int, res.df.strip("()").split(", "))
+            assert res.p_value == float(sp_stats.f.sf(res.statistic, d1, d2))
+
+    def test_sign_patterns_are_memoised_and_read_only(self):
+        bits = _sign_patterns(5)
+        assert _sign_patterns(5) is bits
+        assert bits.shape == (32, 5)
+        assert np.array_equal(bits.sum(axis=0), np.full(5, 16))
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1

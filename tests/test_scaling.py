@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,16 @@ class TestWelch:
         with pytest.raises(ValueError):
             win[0] = 1.0
 
+    def test_windows_equal_get_window(self):
+        # every length the settings allow up to 4096, odd ones included
+        for segment_length in range(2, 4097):
+            for window, name in (("hann", "hann"), ("rect", "boxcar")):
+                ref = sp_signal.get_window(name, segment_length)
+                ref = ref * (1 / np.sqrt(sum(ref**2) / (1 / 2.5)))
+                assert np.array_equal(
+                    _psd_window(window, segment_length, 2.5), ref), (
+                    window, segment_length)
+
     @given(n=st.integers(16, 20_000), fraction=st.floats(0.0, 0.5),
            overlap=st.floats(0.0, 0.99), fs=st.floats(1e-2, 1e3),
            window=st.sampled_from(["hann", "rect"]),
@@ -301,9 +312,19 @@ class TestWaveletSpectrum:
             scale_to_frequency(4, sig.sampling_rate))
 
     def test_empty_octave_rejected(self, db3):
+        # dwt never makes such an octave: shrink the valid range of octave 6
         sig = gen_fgn(GeneratorSpec("fgn", 0.5, 1024, seed=0))
         pyramid = dwt(sig, db3, 6)
-        with pytest.raises(ParameterError):
+        start = pyramid.valid_start[-1]
+        for n_valid in (0, 1):
+            short = dataclasses.replace(
+                pyramid, valid_stop=pyramid.valid_stop[:-1] + (start + n_valid,))
+            with pytest.raises(ScaleRangeError,
+                               match=f"octave 6 has {n_valid} valid coefficient"):
+                wavelet_spectrum(short)
+
+    def test_decreasing_frequencies_rejected(self):
+        with pytest.raises(ParameterError, match="strictly increasing"):
             SpectrumEstimate(np.array([2.0, 1.0]), np.array([1.0, 1.0]), "welch")
 
 
