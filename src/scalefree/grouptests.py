@@ -266,7 +266,8 @@ def wilcoxon_signed_rank(values, mu0: float,
 
     Exact enumeration over all 2^n sign patterns for n <= 12 (ties handled
     by average ranks), normal approximation with continuity and tie
-    corrections above.  The statistic is the positive-rank sum W+.
+    corrections above.  The statistic is the positive-rank sum W+; a NaN
+    value makes both it and the p-value NaN.
     """
     _check_sidedness(sidedness)
     x = np.asarray(values, dtype=np.float64)
@@ -278,6 +279,8 @@ def wilcoxon_signed_rank(values, mu0: float,
                           degenerate=True)
     if n < 3:
         raise ParameterError(f"need n >= 3 nonzero differences, got {n}")
+    if np.isnan(diffs).any():  # no ordering: NaN ranks fail every comparison
+        return TestResult(math.nan, math.nan, f"n={n}", "wsr", sidedness)
     ranks = _average_ranks(np.abs(diffs))
     w_obs = float(ranks[diffs > 0].sum())
     if n <= WSR_EXACT_MAX_N:

@@ -43,8 +43,7 @@ def global_regularity(pyramid: WaveletPyramid, j1: int, j2: int) -> float:
     analysis.
     """
     sups = sup_magnitudes(pyramid, j1, j2)
-    fit = fit_loglog(list(zip(range(j1, j2 + 1), sups)), j1, j2)
-    return fit.slope
+    return fit_loglog(sups, j1, j2).slope
 
 
 def select_gamma(h_min: float, mode: str = "auto", value: float | None = None,
@@ -189,8 +188,7 @@ def _zeta(q: np.ndarray, rows: np.ndarray, j1: int, j2: int,
     """(fits, (q, zeta_hat) rows): one fit_loglog per q column of the S(j, q)
     rows of octaves j1..j2, and zeta_hat = slope - offset q, offset being
     gamma less the reference shift."""
-    fits = [fit_loglog(zip(range(j1, j2 + 1), column), j1, j2)
-            for column in rows.T]
+    fits = [fit_loglog(column, j1, j2) for column in rows.T]
     return fits, np.column_stack([q, [f.slope for f in fits] - offset * q])
 
 
@@ -216,7 +214,7 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
         )
     octaves = range(j1, j2 + 1)
     valid = [leaders.valid_values(j) for j in octaves]
-    _require_cumulant_counts({j: v.size for j, v in zip(octaves, valid)})
+    _require_cumulant_counts([v.size for v in valid], j1)
     cum = np.array([_k_statistics(np.log(v), p_max)
                     for v in valid])  # (n_octaves, p_max)
 
@@ -251,19 +249,17 @@ def _k_statistics(x: np.ndarray, p_max: int) -> tuple:
     return k[:p_max]
 
 
-def _require_cumulant_counts(counts: dict, prefix: str = "") -> None:
+def _require_cumulant_counts(counts, j1: int, prefix: str = "") -> None:
     """Raise ScaleRangeError, prefixed, if an octave has fewer than
-    MIN_CUMULANT_COUNT valid leaders in counts {octave: count}."""
-    thin = [j for j, c in counts.items() if c < MIN_CUMULANT_COUNT]
-    if thin:
-        usable = [j for j in range(min(counts), min(thin))
-                  if counts[j] >= MIN_CUMULANT_COUNT]
-        hint = (f"; largest workable j2 is {max(usable)}"
-                if len(usable) >= 2 else "")
-        raise ScaleRangeError(
-            f"{prefix}octave {min(thin)} has {counts[min(thin)]} valid leaders "
-            f"(< {MIN_CUMULANT_COUNT}) for sample cumulants{hint}"
-        )
+    MIN_CUMULANT_COUNT valid leaders; counts[i] is the count of octave
+    j1 + i."""
+    for j, count in enumerate(counts, start=j1):
+        if count < MIN_CUMULANT_COUNT:
+            hint = f"; largest workable j2 is {j - 1}" if j - j1 >= 2 else ""
+            raise ScaleRangeError(
+                f"{prefix}octave {j} has {count} valid leaders "
+                f"(< {MIN_CUMULANT_COUNT}) for sample cumulants{hint}"
+            )
 
 
 def _check_q_grid(q_grid, prefix: str = "") -> None:

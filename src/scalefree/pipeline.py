@@ -489,12 +489,10 @@ def _spectrum_rows(pyramid, j1: int, j2: int) -> tuple:
     """The wavelet spectrum of a pyramid and its fit over octaves j1..j2:
     (fit, rows), one (octave, log2 power, fitted log2 power) row per
     octave in ascending order."""
-    spectrum = wavelet_spectrum(pyramid)
-    fit = fit_loglog(spectrum.octave_pairs(), j1, j2)
-    order = np.argsort(spectrum.octave_index)
+    power = wavelet_spectrum(pyramid)
+    fit = fit_loglog(power[j1 - 1:j2], j1, j2)
     rows = tuple((j, float(logp), fit.slope * j + fit.intercept)
-                 for j, logp in zip(spectrum.octave_index[order].tolist(),
-                                    np.log2(spectrum.power[order])))
+                 for j, logp in enumerate(np.log2(power), start=1))
     return fit, rows
 
 
@@ -598,8 +596,7 @@ def _require_feasible(n: int, config: AnalysisConfig) -> None:
             f"configured range is {config.octave_range}"
         )
     spans = _leader_spans(n, config.n_vanishing)
-    _require_cumulant_counts({j: spans[j - 1] for j in range(j1, j2 + 1)},
-                             prefix=f"length {n}: ")
+    _require_cumulant_counts(spans[j1 - 1:j2], j1, prefix=f"length {n}: ")
 
 
 def _pool_size(workers: int, n_runs: int) -> int:

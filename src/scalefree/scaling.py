@@ -26,16 +26,11 @@ WINDOWS = ("hann", "rect")
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """One-sided PSD samples, frequencies strictly increasing.
-
-    For method='wavelet', octave_index[i] is the octave j whose band center
-    is frequencies[i] = 3 fs / (4 * 2^j).
-    """
+    """A Welch PSD estimate: one-sided power at strictly increasing
+    frequencies."""
 
     frequencies: np.ndarray
     power: np.ndarray
-    method: str
-    octave_index: np.ndarray | None = None
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=np.float64)
@@ -48,12 +43,6 @@ class SpectrumEstimate:
             raise ParameterError("power must be nonnegative")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "power", p)
-
-    def octave_pairs(self):
-        """(octave, power) pairs for fit_loglog; wavelet method only."""
-        if self.method != "wavelet" or self.octave_index is None:
-            raise ParameterError("octave pairs exist only for wavelet spectra")
-        return list(zip(self.octave_index.tolist(), self.power.tolist()))
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,7 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     power[:, 1:None if segment_length % 2 else -1] *= 2
     power = np.ascontiguousarray(power.T).mean(axis=-1)
     freqs = sp_fft.rfftfreq(segment_length, 1 / fs)
-    return SpectrumEstimate(frequencies=freqs[1:], power=power[1:], method="welch")
+    return SpectrumEstimate(frequencies=freqs[1:], power=power[1:])
 
 
 def _check_welch(segment_length: int | None, overlap_fraction: float, window: str,
@@ -180,30 +169,22 @@ def scale_to_frequency(octave: int, sampling_rate: float) -> float:
     return 3.0 * sampling_rate / (4.0 * 2.0**octave)
 
 
-def wavelet_spectrum(pyramid: WaveletPyramid) -> SpectrumEstimate:
-    """Per-octave mean of squared L1-normalized coefficients.
+def wavelet_spectrum(pyramid: WaveletPyramid) -> np.ndarray:
+    """Per-octave mean of squared L1-normalized coefficients: a float64
+    array over octaves 1..max_octave, octave j at index j - 1.
 
     Raises:
         ScaleRangeError: if any octave has fewer than 2 valid coefficients.
     """
-    octaves = np.arange(1, pyramid.max_octave + 1)
-    values = []
-    for j in octaves:
-        v = pyramid.valid_values(int(j))
+    power = np.empty(pyramid.max_octave)
+    for j in range(1, pyramid.max_octave + 1):
+        v = pyramid.valid_values(j)
         if v.size < 2:
             raise ScaleRangeError(
                 f"octave {j} has {v.size} valid coefficient(s); need >= 2"
             )
-        values.append(float(np.mean(v**2)))
-    freqs = np.array([scale_to_frequency(int(j), pyramid.sampling_rate)
-                      for j in octaves])
-    order = np.argsort(freqs)
-    return SpectrumEstimate(
-        frequencies=freqs[order],
-        power=np.array(values)[order],
-        method="wavelet",
-        octave_index=octaves[order],
-    )
+        power[j - 1] = np.mean(v**2)
+    return power
 
 
 def _ols_design(x: np.ndarray) -> tuple:
@@ -245,31 +226,27 @@ def _ols_fit(design: tuple, y: np.ndarray):
     return slope, intercept, stderr, r_squared
 
 
-def fit_loglog(points, j1: int, j2: int) -> ScalingFit:
+def fit_loglog(values, j1: int, j2: int) -> ScalingFit:
     """OLS of log2(value) on octave over j1..j2.
 
-    points: iterable of (octave, value) pairs; every octave in [j1, j2] must
-    be present with a strictly positive value.
+    values: the j2 - j1 + 1 values of octaves j1..j2 in order, 1-D, every
+    one strictly positive.
     """
     if j2 - j1 < 2:
         raise ParameterError(f"octave range ({j1}, {j2}) too narrow; need j2-j1 >= 2")
-    table = {}
-    for j, v in points:
-        table[int(j)] = float(v)
-    octs = np.arange(j1, j2 + 1)
-    missing = [int(j) for j in octs if int(j) not in table]
-    if missing:
-        raise ScaleRangeError(f"no value supplied for octave(s) {missing}")
-    vals = np.array([table[int(j)] for j in octs])
-    bad = octs[vals <= 0]
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape != (j2 - j1 + 1,):
+        raise ParameterError(f"values for octaves {j1}..{j2} have shape "
+                             f"{vals.shape}; need ({j2 - j1 + 1},)")
+    bad = np.flatnonzero(vals <= 0)
     if bad.size:
         raise ParameterError(
-            f"nonpositive value at octave {int(bad[0])}; cannot take log2"
+            f"nonpositive value at octave {j1 + int(bad[0])}; cannot take log2"
         )
     slope, intercept, stderr, r2 = _ols_fit(_octave_design(j1, j2), np.log2(vals))
     return ScalingFit(
         slope=slope, intercept=intercept, stderr_slope=stderr,
-        octave_range=(j1, j2), r_squared=r2, n_points=octs.size,
+        octave_range=(j1, j2), r_squared=r2, n_points=vals.size,
     )
 
 

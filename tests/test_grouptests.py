@@ -198,6 +198,15 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank([-2.0, -1.0, 1.0, 2.0], 0.0, "two")
         assert res.p_value == 1.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [4, 20])  # exact and normal paths
+    def test_nan_value_gives_nan(self, sign, n):
+        values = np.concatenate([[np.nan], sign * np.arange(1.0, n)])
+        for sidedness in ("greater", "less", "two"):
+            res = wilcoxon_signed_rank(values, 0.0, sidedness)
+            assert math.isnan(res.statistic) and math.isnan(res.p_value)
+            assert not res.degenerate and res.df == f"n={n}"
+
     def test_all_ties_degenerate(self):
         res = wilcoxon_signed_rank([0.5, 0.5, 0.5], 0.5, "greater")
         assert res.degenerate

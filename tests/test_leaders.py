@@ -220,8 +220,7 @@ class TestStructureFunctions:
             sig = gen_fbm(GeneratorSpec("fbm", 0.7, 2**13, seed=s))
             values = moments(compute_leaders(dwt(sig, db3, 6), 0.0), [1.0, 2.0])
             for i in range(2):
-                pairs = [(j, values[j - 1, i]) for j in range(3, 7)]
-                acc[i] += fit_loglog(pairs, 3, 6).slope
+                acc[i] += fit_loglog(values[2:6, i], 3, 6).slope
         acc /= seeds
         assert abs(acc[0] - 0.7) <= 0.1
         assert abs(acc[1] - 1.4) <= 0.15
@@ -425,8 +424,7 @@ class TestMultifractalEstimate:
                                     reference_shift=shift)
         q = np.array(DEFAULT_Q_GRID)
         values = moments(compute_leaders(pyramid, est.gamma), q)
-        fits = [fit_loglog([(j, values[j - 1, iq])
-                            for j in range(j1, j2 + 1)], j1, j2)
+        fits = [fit_loglog(values[j1 - 1:j2, iq], j1, j2)
                 for iq in range(q.size)]
         zeta = np.empty((q.size, 2))
         zeta[:, 0] = q

@@ -812,6 +812,49 @@ class TestRunFullAnalysis:
             reports.append(json.dumps(doc, sort_keys=True))
         assert reports[0] == reports[1]
 
+    def test_relabelled_subjects_change_only_labels(self, tmp_path):
+        """The same file study under ids that need CSV quoting, in the same
+        order, gives the same p-values byte for byte, the same per-series
+        rows once the subject column is mapped back, and the same report
+        but its provenance."""
+        rng = np.random.default_rng(5)
+        tax = tmp_path / "taxonomy.csv"
+        tax.write_text("map_index,class,network_or_artifact\n" + "".join(
+            f"{k},{cls},\n" for k, cls in enumerate("FFFAAU", start=1)))
+        runs = {}
+        for s in range(3):
+            for state in ("rest", "task"):
+                runs[s, state] = str(tmp_path / f"run{s}_{state}.csv")
+                np.savetxt(runs[s, state], np.column_stack(
+                    [np.arange(1024), rng.standard_normal((1024, 6))]),
+                    fmt="%.17g", delimiter=",", comments="",
+                    header="t," + ",".join(f"map_{k}" for k in range(1, 7)))
+        original = {"b,1": "s1", 'q"2': "s2", "x%3": "s3"}
+        for out, ids in (("plain", original.values()), ("quoted", original)):
+            run_full_analysis(AnalysisConfig(
+                inputs={"taxonomy": str(tax), "subjects": [
+                    {"id": sid, "rest": runs[s, "rest"], "task": runs[s, "task"]}
+                    for s, sid in enumerate(ids)]},
+                output_dir=str(tmp_path / out)))
+        plain, quoted = tmp_path / "plain", tmp_path / "quoted"
+        assert ((quoted / "pvalues.csv").read_bytes()
+                == (plain / "pvalues.csv").read_bytes())
+        for name in ("estimates.csv", "spectra.csv", "dh_curves.csv"):
+            tables = []
+            for out in (plain, quoted):
+                with open(out / name, newline="") as fh:
+                    tables.append(list(csv.reader(fh)))
+            expected, relabelled = tables
+            assert {row[0] for row in relabelled[1:]} == set(original), name
+            assert [[original.get(row[0], row[0])] + row[1:]
+                    for row in relabelled] == expected, name
+        reports = []
+        for out in (plain, quoted):
+            doc = json.loads((out / "group_report.json").read_text())
+            del doc["provenance"]
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
     def test_synthetic_recipes_expand_to_samples(self):
         cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)
         ds = pipeline._build_dataset(cfg)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from scalefree.errors import EstimationError, ParameterError, ScaleRangeError
-from scalefree.pipeline import _spectrum_rows
+from scalefree.pipeline import AnalysisConfig, _spectrum_rows, run_full_analysis
 from scalefree.scaling import (ScalingFit, SpectrumEstimate, _octave_design,
                                _ols_design, _ols_fit, _psd_window,
                                default_segment_length, estimate_hurst,
@@ -55,8 +56,7 @@ class TestScaleToFrequency:
 
 class TestFitLoglog:
     def test_exact_power_law(self):
-        points = [(j, 2.0 ** (0.8 * j)) for j in range(1, 8)]
-        fit = fit_loglog(points, 2, 6)
+        fit = fit_loglog(2.0 ** (0.8 * np.arange(2, 7)), 2, 6)
         assert fit.slope == pytest.approx(0.8, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.n_points == 5
@@ -65,28 +65,30 @@ class TestFitLoglog:
         rng = np.random.default_rng(0)
         slopes = []
         for _ in range(50):
-            points = [(j, 3.0 * 2.0**-j * (1 + 0.01 * rng.uniform(-1, 1)))
+            values = [3.0 * 2.0**-j * (1 + 0.01 * rng.uniform(-1, 1))
                       for j in range(1, 9)]
-            slopes.append(fit_loglog(points, 1, 8).slope)
+            slopes.append(fit_loglog(values, 1, 8).slope)
         assert abs(np.mean(slopes) + 1.0) <= 0.02
 
     def test_constant_values(self):
-        fit = fit_loglog([(j, 5.0) for j in range(1, 6)], 1, 5)
+        fit = fit_loglog(np.full(5, 5.0), 1, 5)
         assert fit.slope == pytest.approx(0.0, abs=1e-14)
         assert fit.r_squared == pytest.approx(1.0)
 
     def test_nonpositive_value_names_octave(self):
-        points = [(1, 1.0), (2, 0.0), (3, 1.0), (4, 1.0)]
-        with pytest.raises(ParameterError, match="octave 2"):
-            fit_loglog(points, 1, 4)
+        with pytest.raises(ParameterError,
+                           match="nonpositive value at octave 4; cannot take log2"):
+            fit_loglog([1.0, 1.0, 0.0, 1.0], 2, 5)
 
-    def test_missing_octave(self):
-        with pytest.raises(ScaleRangeError, match=r"\[3\]"):
-            fit_loglog([(1, 1.0), (2, 1.0), (4, 1.0)], 1, 4)
+    def test_wrong_length(self):
+        # values are positional: a missing or extra octave is a shape error
+        for values in ([1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 4], np.ones((4, 1))):
+            with pytest.raises(ParameterError, match="values for octaves 1..4"):
+                fit_loglog(values, 1, 4)
 
     def test_range_too_narrow(self):
         with pytest.raises(ParameterError):
-            fit_loglog([(1, 1.0), (2, 1.0)], 1, 2)
+            fit_loglog([1.0, 1.0], 1, 2)
 
     @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
            scale=st.floats(1e-3, 1e3))
@@ -112,7 +114,7 @@ class TestFitLoglog:
         if cleared:
             _octave_design.cache_clear()
         for _ in range(2):
-            fit = fit_loglog(zip(range(j1, j2 + 1), values), j1, j2)
+            fit = fit_loglog(values, j1, j2)
             assert repr((fit.slope, fit.intercept, fit.stderr_slope,
                          fit.r_squared)) == repr(expected)
 
@@ -243,16 +245,41 @@ class TestWaveletSpectrum:
         slopes = []
         for seed in range(50):
             sig = gen_fgn(GeneratorSpec("fgn", 0.5, 4096, seed=seed))
-            spec = wavelet_spectrum(dwt(sig, db3, 6))
-            slopes.append(fit_loglog(spec.octave_pairs(), 1, 6).slope)
+            power = wavelet_spectrum(dwt(sig, db3, 6))
+            slopes.append(fit_loglog(power, 1, 6).slope)
         assert abs(np.mean(slopes) + 1.0) <= 0.15
 
-    def test_frequencies_match_octaves(self, db3):
-        sig = gen_fgn(GeneratorSpec("fgn", 0.5, 1024, seed=0, sampling_rate=2.0))
-        spec = wavelet_spectrum(dwt(sig, db3, 5))
-        for f, j in zip(spec.frequencies, spec.octave_index):
-            assert f == pytest.approx(scale_to_frequency(int(j), 2.0))
-        assert np.all(np.diff(spec.frequencies) > 0)
+    def test_frequencies_match_octaves(self, tmp_path):
+        run_full_analysis(AnalysisConfig(
+            synthetic={"subjects": 3, "length": 1024,
+                       "maps": {"F": 2, "A": 2, "U": 2}},
+            sampling_rate=2.0, output_dir=str(tmp_path)))
+        with open(tmp_path / "spectra.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert float(row["frequency_hz"]) == scale_to_frequency(
+                int(row["octave"]), 2.0)
+
+    def test_power_is_mean_square_per_octave(self, db3):
+        # 1000 samples: octaves of uneven valid lengths
+        sig = gen_fgn(GeneratorSpec("fgn", 0.6, 1024, seed=7))
+        pyramid = dwt(Signal(sig.samples[:1000], 1.0), db3, 6)
+        power = wavelet_spectrum(pyramid)
+        assert power.dtype == np.float64 and power.shape == (6,)
+        for j in range(1, 7):
+            expected = float(np.mean(pyramid.valid_values(j) ** 2))
+            assert power[j - 1].tobytes() == np.float64(expected).tobytes()
+
+    def test_spectrum_rows_ascend_over_every_octave(self, db3):
+        pyramid = dwt(gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=1)), db3, 7)
+        fit, rows = _spectrum_rows(pyramid, 3, 6)
+        assert [row[0] for row in rows] == list(range(1, 8))
+        power = wavelet_spectrum(pyramid)
+        for j, logp, fitted in rows:
+            assert type(j) is int
+            assert logp == math.log2(power[j - 1])
+            assert fitted == fit.slope * j + fit.intercept
 
     def test_amplitude_invariance(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=2))
@@ -293,12 +320,9 @@ class TestWaveletSpectrum:
                          1.0, "dilated")
         s_orig = wavelet_spectrum(dwt(sig, db3, 7))
         s_dil = wavelet_spectrum(dwt(dilated, db3, 8))
-        orig = {int(j): math.log2(v)
-                for j, v in zip(s_orig.octave_index, s_orig.power)}
-        dil = {int(j): math.log2(v)
-               for j, v in zip(s_dil.octave_index, s_dil.power)}
+        # octave j is at index j - 1, so octave j + 1 of the dilation at j
         for j in range(3, 8):
-            assert abs(dil[j + 1] - orig[j]) <= 0.15
+            assert abs(math.log2(s_dil[j]) - math.log2(s_orig[j - 1])) <= 0.15
 
     def test_decimation_shifts_one_octave(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2**14, seed=8))
@@ -325,7 +349,7 @@ class TestWaveletSpectrum:
 
     def test_decreasing_frequencies_rejected(self):
         with pytest.raises(ParameterError, match="strictly increasing"):
-            SpectrumEstimate(np.array([2.0, 1.0]), np.array([1.0, 1.0]), "welch")
+            SpectrumEstimate(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
 
 
 class TestWelchWaveletAgreement:
