@@ -20,9 +20,10 @@ import os
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -279,9 +280,29 @@ class SyntheticRun:
 
 
 @dataclass(frozen=True)
+class FileRun:
+    """Recipe for the (n, K) matrix of one run CSV, parsed by the task that
+    analyzes it: load_dataset has checked its header and counted its
+    length sample rows."""
+
+    path: str
+    n_maps: int
+    length: int
+
+    def matrix(self, config: AnalysisConfig) -> np.ndarray:
+        matrix = _load_run_csv(self.path, self.n_maps)
+        if len(matrix) != self.length:  # the file changed since the count
+            raise DataFormatError(
+                f"{self.path}: {len(matrix)} sample rows; it had "
+                f"{self.length} when the study was loaded")
+        return matrix
+
+
+@dataclass(frozen=True)
 class Dataset:
-    """Per-subject, per-state runs: (n, K) map time-series matrices read
-    from files, or SyntheticRun recipes that expand to them."""
+    """Per-subject, per-state runs: FileRun or SyntheticRun recipes, each
+    expanded to its (n, K) map time-series matrix by the task that
+    analyzes it."""
 
     subjects: tuple
     runs: dict
@@ -300,18 +321,28 @@ def _utf8(path, newline=None):
                 f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _header(path, fh) -> list:
+    """The stripped cells of the first row csv.reader reads from fh, open
+    on path (DataFormatError if there is none)."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    return [h.strip() for h in header]
+
+
+def _is_row(cells) -> bool:
+    """Whether a csv.reader row holds data: a row of blank cells is skipped."""
+    return any(c.strip() for c in cells)
+
+
 @contextmanager
 def _csv_rows(path):
     """Yield the stripped header of a CSV file (DataFormatError if empty)
     and an iterator of (line_no, cells) over its non-blank rows."""
     with _utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        yield ([h.strip() for h in header],
-               ((line_no, row) for line_no, row in enumerate(reader, start=2)
-                if any(c.strip() for c in row)))
+        yield _header(path, fh), ((line_no, row) for line_no, row
+                                  in enumerate(csv.reader(fh), start=2)
+                                  if _is_row(row))
 
 
 def load_taxonomy(path) -> MapTaxonomy:
@@ -384,22 +415,58 @@ def _loadtxt(path, width: int) -> np.ndarray | None:
     return m if m.shape[1] == width and np.isfinite(m).all() else None
 
 
+def _run_columns(path, header: list, n_maps: int) -> list:
+    """The column names t,map_1..map_K of a run CSV, once its header is
+    checked against them."""
+    expected = ["t"] + [f"map_{k}" for k in range(1, n_maps + 1)]
+    if len(header) != len(expected):
+        raise DataFormatError(
+            f"{path}: header has {len(header) - 1} map column(s), "
+            f"taxonomy declares {n_maps}"
+        )
+    for col, (got, want) in enumerate(zip(header, expected), start=1):
+        if got != want:
+            raise DataFormatError(
+                f"{path}:1: column {col} is {got!r}, expected {want!r} "
+                f"(header t,map_1..map_{n_maps})")
+    return expected
+
+
+def _require_rows(path, n: int) -> None:
+    """Raise DataFormatError if n is fewer than the 2 sample rows a run
+    needs."""
+    if n < 2:
+        raise DataFormatError(f"{path}: fewer than 2 sample rows")
+
+
+def _count_rows(path, n_maps: int) -> int:
+    """The number of sample rows _load_run_csv reads from a run CSV, after
+    the same header check, with no cell parsed.  Until a line holds a
+    quote, csv.reader reads one row per line (ended by \\n, \\r or \\r\\n,
+    as an open(newline="") file splits them), and a row is blank when its
+    line holds only commas and whitespace; from a quote on, the rows are
+    counted by csv.reader itself."""
+    count = 0
+    with _utf8(path, newline="") as fh:
+        _run_columns(path, _header(path, fh), n_maps)
+        for line in fh:
+            if '"' in line:  # a quoted cell may hold a comma or a line end
+                count += sum(map(_is_row, csv.reader(chain([line], fh))))
+                break
+            # most lines start with a digit, which is no blank
+            if (line.lstrip()[:1] not in ("", ",")
+                    or line.replace(",", "").strip()):
+                count += 1
+    _require_rows(path, count)
+    return count
+
+
 def _load_run_csv(path, n_maps: int) -> np.ndarray:
     """The (n, n_maps) C-contiguous samples of a run CSV; its t column is
     checked and dropped.  A file the vectorised pass rejects is parsed cell
     by cell, which raises the located error."""
     with _csv_rows(path) as (header, lines):
-        expected = ["t"] + [f"map_{k}" for k in range(1, n_maps + 1)]
-        if len(header) != len(expected):
-            raise DataFormatError(
-                f"{path}: header has {len(header) - 1} map column(s), "
-                f"taxonomy declares {n_maps}"
-            )
-        for col, (got, want) in enumerate(zip(header, expected), start=1):
-            if got != want:
-                raise DataFormatError(
-                    f"{path}:1: column {col} is {got!r}, expected {want!r} "
-                    f"(header t,map_1..map_{n_maps})")
+        expected = _run_columns(path, header, n_maps)
         matrix = _loadtxt(path, n_maps + 1)
         if matrix is None:
             rows = []
@@ -411,13 +478,15 @@ def _load_run_csv(path, n_maps: int) -> np.ndarray:
                 rows.append([_parse_cell(tok, f"{path}:{line_no}: column {col}")
                              for col, tok in zip(expected, row)])
             matrix = np.array(rows, dtype=np.float64).reshape(-1, n_maps + 1)
-    if len(matrix) < 2:
-        raise DataFormatError(f"{path}: fewer than 2 sample rows")
+    _require_rows(path, len(matrix))
     return np.ascontiguousarray(matrix[:, 1:])
 
 
 def load_dataset(config: AnalysisConfig) -> Dataset:
-    """Load and validate the file-backed dataset declared in config.inputs."""
+    """Validate the file-backed dataset declared in config.inputs: its
+    taxonomy, subject ids, and each run CSV's encoding, header and row
+    count (equal within a state).  No sample is parsed here: each run is a
+    FileRun recipe, read by the task that analyzes it."""
     if config.inputs is None:
         raise ParameterError("config has no 'inputs' section")
     inputs = config.inputs
@@ -435,14 +504,13 @@ def load_dataset(config: AnalysisConfig) -> Dataset:
                 f"config key inputs.subjects[{i}].id: duplicate subject id {sid!r}")
         subjects.append(sid)
         for state in STATES:
-            matrix = _load_run_csv(entry[state], taxonomy.n_maps)
-            n = matrix.shape[0]
+            n = _count_rows(entry[state], taxonomy.n_maps)
             if state in lengths and lengths[state] != n:
                 raise DataFormatError(
                     f"{entry[state]}: {n} samples; the {state} runs of "
                     f"previous subjects have {lengths[state]}")
             lengths[state] = n
-            runs[(sid, state)] = matrix
+            runs[(sid, state)] = FileRun(entry[state], taxonomy.n_maps, n)
     if not subjects:
         raise DataFormatError("inputs.subjects is empty")
     return Dataset(subjects=tuple(subjects), runs=runs, taxonomy=taxonomy)
@@ -532,10 +600,12 @@ def _synthetic_samples(config: AnalysisConfig, subject_idx: int, map_idx: int,
 
 def _run_one(task) -> list:
     """(key, estimate, error, text) of each series of one (subject, state)
-    run; a series that raises a ScaleFreeError fails alone.  The run is
-    expanded (if a recipe), analyzed, then formatted, in that order."""
+    run; a series that raises a ScaleFreeError fails alone.  The run's
+    recipe is expanded (its file parsed or its series synthesized), its
+    series analyzed, then formatted, in that order; a file that does not
+    parse raises its located DataFormatError."""
     (subject, state), run, labels, config = task
-    matrix = run.matrix(config) if isinstance(run, SyntheticRun) else run
+    matrix = run.matrix(config)
     outcomes = []
     for label, samples in zip(labels, matrix.T):
         key = (subject, label, state)
@@ -606,8 +676,8 @@ def _pool_size(workers: int, n_runs: int) -> int:
 
 
 def _build_dataset(config: AnalysisConfig) -> Dataset:
-    """The study's runs: (n, K) matrices read from config.inputs, or one
-    SyntheticRun recipe per (subject, state), expanded by the worker."""
+    """The study's runs: one FileRun per run CSV of config.inputs, or one
+    SyntheticRun per (subject, state); the worker expands each."""
     if config.synthetic is None:
         return load_dataset(config)
     syn = config.synthetic
@@ -634,7 +704,7 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     dataset = _build_dataset(config)
     # Every run of a state has the same length (load_dataset checks it).
     lengths = ({config.synthetic["length"]} if config.synthetic is not None
-               else {dataset.runs[(dataset.subjects[0], state)].shape[0]
+               else {dataset.runs[(dataset.subjects[0], state)].length
                      for state in STATES})
     for n in sorted(lengths):
         _require_feasible(n, config)
@@ -684,9 +754,11 @@ _OUTPUTS = {
 def _published(out: Path):
     """{name: file} of every output in _OUTPUTS, each open on a ".partial"
     name in out with its header written.  A clean exit renames every file
-    onto its name; if the block raises, the partial files are removed.  A
-    failed run thus leaves an earlier run's outputs whole, never mixed
-    with its own."""
+    onto its name; if the block raises, the partial files are removed, and
+    so are the directories made for them.  A failed run thus leaves an
+    earlier run's outputs whole, never mixed with its own, and otherwise
+    no output directory."""
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.partial" for name in _OUTPUTS}
     try:
@@ -700,6 +772,9 @@ def _published(out: Path):
     except BaseException:
         for path in paths.values():
             path.unlink(missing_ok=True)
+        with suppress(OSError):  # a directory something else wrote into
+            for d in made:
+                d.rmdir()
         raise
     for name, path in paths.items():
         os.replace(path, out / name)

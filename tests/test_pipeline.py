@@ -4,13 +4,15 @@ import json
 import math
 import os
 import warnings
+import weakref
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalefree import pipeline
@@ -215,35 +217,94 @@ class TestConfig:
         assert cfg.gamma_eps == 0.2
 
 
+def outputs(out: Path) -> dict:
+    """{name: bytes} of every file in an output directory."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def file_study_config(tmp_path, **fields) -> AnalysisConfig:
+    """A feasible 3-subject, 3-map file study of 512-sample runs."""
+    inputs = write_fixture_dataset(tmp_path, n_subjects=3, n_maps=3, n=512,
+                                   seed=5)
+    return AnalysisConfig(inputs=inputs, octave_range=(2, 5), **fields)
+
+
 class TestLoadDataset:
     def test_round_trip(self, tmp_path):
-        inputs = write_fixture_dataset(tmp_path)
-        cfg = AnalysisConfig(inputs=inputs, sampling_rate=2.0)
+        """load_dataset counts each run CSV's rows and parses none; a run's
+        matrix is the file's map columns, and the study gives the same
+        outputs with 1 and 2 workers."""
+        cfg = file_study_config(tmp_path, sampling_rate=2.0)
         ds = load_dataset(cfg)
         assert ds.taxonomy.n_maps == 3
-        assert ds.runs[("sub0", "rest")].shape == (64, 3)
+        for (sid, state), run in ds.runs.items():
+            assert run == pipeline.FileRun(
+                cfg.inputs["subjects"][int(sid[3:])][state], 3, 512)
+            expected = [[float(c) for c in row[1:]]
+                        for row in read_rows(Path(run.path))]
+            matrix = run.matrix(cfg)
+            assert matrix.tolist() == expected
+            assert matrix.flags.c_contiguous
+        written = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            report = run_full_analysis(replace(cfg, output_dir=str(out),
+                                               workers=workers))
+            assert len(report.results) == 18 and not report.failures
+            written.append(outputs(out))
+        assert len(written[0]) == 6 and written[0] == written[1]
+
+    @staticmethod
+    def _check_bad_cell_located(tmp_path, subject, state, line, col, token,
+                                message):
+        """A bad cell is found when its run is parsed, not by load_dataset:
+        FileRun.matrix and run_full_analysis with 1 and 2 workers raise the
+        same located error, leave no ".partial" file, an earlier run's
+        outputs whole, and no output directory of their own."""
+        cfg = file_study_config(tmp_path)
+        earlier = tmp_path / "earlier"
+        run_full_analysis(replace(cfg, output_dir=str(earlier)))
+        before = outputs(earlier)
+
+        path = Path(cfg.inputs["subjects"][subject][state])
+        lines = path.read_text().splitlines()
+        parts = lines[line - 1].split(",")
+        parts[col] = token
+        lines[line - 1] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+
+        run = load_dataset(cfg).runs[f"sub{subject}", state]
+        with pytest.raises(DataFormatError) as info:
+            run.matrix(cfg)
+        located = str(info.value)
+        assert located.startswith(f"{path}{message}"), located
+        for workers in (1, 2):
+            for out in (earlier, tmp_path / f"new_w{workers}"):
+                with pytest.raises(DataFormatError) as info:
+                    run_full_analysis(replace(cfg, output_dir=str(out),
+                                              workers=workers))
+                assert str(info.value) == located
+            assert outputs(earlier) == before
+            assert not (tmp_path / f"new_w{workers}").exists()
 
     def test_nan_located(self, tmp_path):
-        inputs = write_fixture_dataset(tmp_path)
-        path = Path(inputs["subjects"][1]["task"])
-        lines = path.read_text().splitlines()
-        parts = lines[18].split(",")
-        parts[2] = "nan"
-        lines[18] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match=r":19: column map_2"):
-            load_dataset(AnalysisConfig(inputs=inputs))
+        self._check_bad_cell_located(tmp_path, 1, "task", 19, 2, "nan",
+                                     ":19: column map_2: non-finite value")
 
     def test_bad_token_located(self, tmp_path):
+        self._check_bad_cell_located(tmp_path, 0, "rest", 4, 1, "oops",
+                                     ":4: column map_1: cannot parse 'oops'")
+
+    def test_file_changed_after_load_located(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
-        path = Path(inputs["subjects"][0]["rest"])
-        lines = path.read_text().splitlines()
-        parts = lines[3].split(",")
-        parts[1] = "oops"
-        lines[3] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match=r":4: column map_1"):
-            load_dataset(AnalysisConfig(inputs=inputs))
+        cfg = AnalysisConfig(inputs=inputs)
+        run = load_dataset(cfg).runs["sub1", "rest"]
+        path = Path(run.path)
+        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+        with pytest.raises(DataFormatError) as info:
+            run.matrix(cfg)
+        assert str(info.value) == (
+            f"{path}: 63 sample rows; it had 64 when the study was loaded")
 
     def test_unknown_taxonomy_class(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
@@ -502,6 +563,40 @@ class TestLocatedErrorFuzz:
             assert fast.shape == cells.shape
             assert np.array_equal(fast, cells)
             assert fast.flags.c_contiguous and cells.flags.c_contiguous
+
+    @given(edit=FUZZ_EDITS, newline=st.sampled_from((b"\n", b"\r\n", b"\r")))
+    @example(edit=("line", 3, 0, b", \t,"), newline=b"\n")
+    @example(edit=("cell", 2, 1, b'"1,\n5"'), newline=b"\r\n")
+    @example(edit=("cell", 2, 1, b'"2\n"'), newline=b"\n")
+    @example(edit=("line", 3, 0, b'"",,,'), newline=b"\r\n")
+    @example(edit=("cell", 2, 3, b'"x"'), newline=b"\n")
+    @example(edit=("cell", 0, 2, b'"map_2"'), newline=b"\n")
+    @example(edit=("cell", 4, 2, b"1\r2"), newline=b"\n")
+    @example(edit=("line", 6, 0, b"\r"), newline=b"\r\n")
+    @settings(max_examples=300, deadline=None)
+    def test_run_csv_row_count_parity(self, tmp_path_factory, edit, newline):
+        """The row count load_dataset takes without parsing equals the row
+        count of the matrix _load_run_csv returns, and where the count
+        raises, the parse raises the same message.  The examples: a line of
+        only commas and whitespace (blank to csv.reader), quoted cells
+        holding a line end (with a comma, or a number the parse reads), a
+        line of quoted blank cells, a quoted cell, a quoted header cell, a
+        lone \\r in a line, and a line that is a lone \\r."""
+        path = write_rows(tmp_path_factory.mktemp("fuzz") / "run.csv",
+                          fuzzed(RUN_ROWS, edit), newline)
+
+        def outcome(read):
+            try:
+                return read(path, 3)
+            except DataFormatError as exc:
+                return str(exc)
+
+        count = outcome(pipeline._count_rows)
+        parsed = outcome(pipeline._load_run_csv)
+        if isinstance(parsed, np.ndarray):
+            assert count == len(parsed), (count, parsed)
+        if isinstance(count, str):
+            assert parsed == count, (count, parsed)
 
     @given(edit=FUZZ_EDITS)
     @settings(max_examples=150, deadline=None)
@@ -776,8 +871,9 @@ class TestRunFullAnalysis:
 
     def test_synthetic_study_read_back_from_files(self, tmp_path):
         """A synthetic study written as %.17g run CSVs and its taxonomy CSV,
-        then read through inputs, gives the same per-series files and
-        p-values byte for byte, and the same report but its provenance."""
+        then read through inputs with 1 and 2 workers, gives the same
+        per-series files and p-values byte for byte, and the same report
+        but its provenance."""
         synthetic = AnalysisConfig(synthetic=SMALL_SYNTH, seed=3,
                                    output_dir=str(tmp_path / "synthetic"))
         run_full_analysis(synthetic)
@@ -798,19 +894,23 @@ class TestRunFullAnalysis:
                     delimiter=",", comments="", header="t," + ",".join(
                         f"map_{k}" for k in range(1, matrix.shape[1] + 1)))
             subjects.append(entry)
-        run_full_analysis(AnalysisConfig(
-            inputs={"taxonomy": str(tax), "subjects": subjects},
-            output_dir=str(tmp_path / "files")))
-        for name in ("estimates.csv", "spectra.csv", "dh_curves.csv",
-                     "pvalues.csv"):
-            assert ((tmp_path / "files" / name).read_bytes()
-                    == (tmp_path / "synthetic" / name).read_bytes()), name
-        reports = []
-        for out in ("synthetic", "files"):
-            doc = json.loads((tmp_path / out / "group_report.json").read_text())
+
+        def report(out):
+            doc = json.loads((out / "group_report.json").read_text())
             del doc["provenance"]
-            reports.append(json.dumps(doc, sort_keys=True))
-        assert reports[0] == reports[1]
+            return json.dumps(doc, sort_keys=True)
+
+        expected = tmp_path / "synthetic"
+        for workers in (1, 2):
+            out = tmp_path / f"files_w{workers}"
+            run_full_analysis(AnalysisConfig(
+                inputs={"taxonomy": str(tax), "subjects": subjects},
+                output_dir=str(out), workers=workers))
+            for name in ("estimates.csv", "spectra.csv", "dh_curves.csv",
+                         "pvalues.csv"):
+                assert ((out / name).read_bytes()
+                        == (expected / name).read_bytes()), (workers, name)
+            assert report(out) == report(expected), workers
 
     def test_relabelled_subjects_change_only_labels(self, tmp_path):
         """The same file study under ids that need CSV quoting, in the same
@@ -918,6 +1018,41 @@ class TestRunFullAnalysis:
             (s, st) for s in ds.subjects for st in ("rest", "task")]
         assert all(isinstance(task[1], pipeline.SyntheticRun)
                    for task in tasks)
+
+    def test_file_tasks_carry_recipes_not_samples(self, tmp_path,
+                                                  monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a run CSV was parsed")
+
+        cfg = file_study_config(tmp_path)
+        monkeypatch.setattr(pipeline, "_load_run_csv", unexpected)
+        ds = pipeline._build_dataset(cfg)
+        tasks = pipeline._run_tasks(cfg, ds)
+        assert [task[0] for task in tasks] == [
+            (s, st) for s in ds.subjects for st in ("rest", "task")]
+        assert [task[1] for task in tasks] == [
+            pipeline.FileRun(entry[st], 3, 512)
+            for entry in cfg.inputs["subjects"] for st in ("rest", "task")]
+
+    def test_serial_file_study_frees_each_run_before_the_next(
+            self, tmp_path, monkeypatch):
+        """With one worker, each run CSV is parsed once, by its task, and
+        no earlier run's matrix is alive when the next is parsed (no
+        gc.collect: reference counting alone frees it)."""
+        parsed = []
+        load = pipeline._load_run_csv
+
+        def tracked(path, n_maps):
+            alive = [ref() is not None for ref in parsed]
+            assert not any(alive), (path, alive)
+            matrix = load(path, n_maps)
+            parsed.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(pipeline, "_load_run_csv", tracked)
+        report = run_full_analysis(file_study_config(
+            tmp_path, output_dir=str(tmp_path / "out"), workers=1))
+        assert len(parsed) == 6 and len(report.results) == 18
 
     def test_failed_run_leaves_earlier_outputs_whole(self, tmp_path,
                                                     monkeypatch):
