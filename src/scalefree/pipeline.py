@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -321,15 +320,6 @@ def _utf8(path, newline=None):
                 f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _header(path, fh) -> list:
-    """The stripped cells of the first row csv.reader reads from fh, open
-    on path (DataFormatError if there is none)."""
-    header = next(csv.reader(fh), None)
-    if header is None:
-        raise DataFormatError(f"{path}: empty file")
-    return [h.strip() for h in header]
-
-
 def _is_row(cells) -> bool:
     """Whether a csv.reader row holds data: a row of blank cells is skipped."""
     return any(c.strip() for c in cells)
@@ -338,11 +328,20 @@ def _is_row(cells) -> bool:
 @contextmanager
 def _csv_rows(path):
     """Yield the stripped header of a CSV file (DataFormatError if empty)
-    and an iterator of (line_no, cells) over its non-blank rows."""
+    and an iterator of (line_no, cells) over its non-blank rows, the one
+    csv.reader of an input file: its csv.Error (a cell over
+    csv.field_size_limit()) raises DataFormatError naming path:line."""
     with _utf8(path, newline="") as fh:
-        yield _header(path, fh), ((line_no, row) for line_no, row
-                                  in enumerate(csv.reader(fh), start=2)
-                                  if _is_row(row))
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            yield [h.strip() for h in header], (
+                (line_no, row) for line_no, row
+                in enumerate(reader, start=2) if _is_row(row))
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def load_taxonomy(path) -> MapTaxonomy:
@@ -444,14 +443,17 @@ def _count_rows(path, n_maps: int) -> int:
     the same header check, with no cell parsed.  Until a line holds a
     quote, csv.reader reads one row per line (ended by \\n, \\r or \\r\\n,
     as an open(newline="") file splits them), and a row is blank when its
-    line holds only commas and whitespace; from a quote on, the rows are
-    counted by csv.reader itself."""
+    line holds only commas and whitespace.  A file with a quote after its
+    first line is counted by _csv_rows, as the parse reads it."""
+    with _csv_rows(path) as (header, _):
+        _run_columns(path, header, n_maps)
     count = 0
     with _utf8(path, newline="") as fh:
-        _run_columns(path, _header(path, fh), n_maps)
+        next(fh)  # the header line (a multi-line header leaves a quote)
         for line in fh:
             if '"' in line:  # a quoted cell may hold a comma or a line end
-                count += sum(map(_is_row, csv.reader(chain([line], fh))))
+                with _csv_rows(path) as (_, rows):
+                    count = sum(1 for _ in rows)
                 break
             # most lines start with a digit, which is no blank
             if (line.lstrip()[:1] not in ("", ",")

@@ -132,8 +132,9 @@ def _circulant_draw(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     half = (z_re[1:n] + 1j * z_im[1:n]) / math.sqrt(2.0)
     z[1:n] = half
     z[n + 1:] = np.conj(half[::-1])
-    sample = np.fft.ifft(root * z) * math.sqrt(2 * n)
-    return sample.real[:n]
+    z *= root
+    # n new samples: a view of the real part would pin the 2n complex buffer
+    return np.fft.ifft(z).real[:n] * math.sqrt(2 * n)
 
 
 def generate(spec: GeneratorSpec) -> Signal:
@@ -144,14 +145,16 @@ def generate(spec: GeneratorSpec) -> Signal:
     samples = _circulant_draw(_fgn_root(spec.hurst, n),
                               np.random.default_rng(spec.seed))
     if spec.kind == "fbm":
-        samples = np.cumsum(samples)
+        np.cumsum(samples, out=samples)
     elif spec.kind == "mrw":
         scale = n if spec.integral_scale is None else spec.integral_scale
         omega = _circulant_draw(
             _omega_root(spec.lambda2, scale, n),
             np.random.default_rng([_OMEGA_STREAM_TAG, spec.seed]))
         omega += -0.5 * spec.lambda2 * math.log(scale)
-        samples = np.cumsum(samples * np.exp(omega))
+        np.exp(omega, out=omega)  # the walk is built in omega's buffer
+        omega *= samples
+        samples = np.cumsum(omega, out=omega)
     l2 = f"l2={spec.lambda2}," if spec.kind == "mrw" else ""
     return Signal(samples, spec.sampling_rate,
                   label=f"{spec.kind}(H={spec.hurst},{l2}seed={spec.seed})")

@@ -362,6 +362,32 @@ class TestInputFiles:
             assert err == (f"error: {named}: not UTF-8 text "
                            "(invalid start byte)\n")
 
+    def test_oversized_cell_located(self, tmp_path, capsys, study):
+        """A cell over csv.field_size_limit() in any CSV a command reads."""
+        tax, run, config = study
+        big = "1" * 200_000
+        estimates = tmp_path / "est.csv"
+        estimates.write_text(f"subject,map,state,status,c1,c2,hurst\n"
+                             f"s1,f_1,rest,ok,{big},0,0.5\n")
+        signal = tmp_path / "sig.csv"
+        signal.write_text(f"t,value\n0,1\n1,{big}\n")
+        cases = [  # (argv, the file at fault, its line)
+            (["spectrum", "--in", str(signal), "--out", str(tmp_path / "x.out")],
+             signal, 3),
+            (["battery", "--estimates", str(estimates), "--taxonomy", str(tax),
+              "--out", str(tmp_path / "x.out")], estimates, 2),
+            # the row count reads the quoted cell before the length check
+            (["analyze", "--config", str(config)], run, 10),
+            (["analyze", "--config", str(config)], tax, 3),
+        ]
+        run.write_text(run.read_text() + f'8,"{big}",0,0\n')
+        for argv, named, line in cases:
+            if named == tax:
+                tax.write_text(tax.read_text().replace("2,A,Ven", f"2,A,{big}"))
+            err = self.run_fails(tmp_path, capsys, argv, named)
+            assert err == (f"error: {named}:{line}: field larger than field "
+                           f"limit ({csv.field_size_limit()})\n")
+
     def test_unknown_taxonomy_class_located(self, tmp_path, capsys, study):
         tax, _, config = study
         tax.write_text(tax.read_text().replace("2,A,", "2,X,"))

@@ -295,6 +295,11 @@ class TestLoadDataset:
         self._check_bad_cell_located(tmp_path, 0, "rest", 4, 1, "oops",
                                      ":4: column map_1: cannot parse 'oops'")
 
+    def test_oversized_cell_located(self, tmp_path):
+        self._check_bad_cell_located(
+            tmp_path, 2, "rest", 7, 3, BIG_CELL.decode(),
+            f":7: field larger than field limit ({csv.field_size_limit()})")
+
     def test_file_changed_after_load_located(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
         cfg = AnalysisConfig(inputs=inputs)
@@ -371,6 +376,8 @@ TAXONOMY_ROWS = [[b"map_index", b"class", b"network_or_artifact"],
 RUN_ROWS = ([[b"t", b"map_1", b"map_2", b"map_3"]]
             + [[b"%d" % i, b"%.17g" % (0.5 * i), b"%d" % -i, b"1e-3"]
                for i in range(6)])
+# A cell over csv.field_size_limit() (131072 characters by default).
+BIG_CELL = b"1" * 200_000
 ESTIMATE_COLUMNS = ["subject", "map", "state", "status", "c1", "c2", "hurst",
                     "error"]
 
@@ -416,6 +423,46 @@ class TestIngestErrors:
         with pytest.raises(DataFormatError) as info:
             pipeline._load_run_csv(path, 3)
         assert str(info.value).startswith(f"{path}{message}")
+
+    @pytest.mark.parametrize("readers, rows, line", [
+        (("taxonomy",), TAXONOMY_ROWS[:2] + [[b"2", b"A", BIG_CELL]]
+         + TAXONOMY_ROWS[3:], 3),
+        (("taxonomy",), [TAXONOMY_ROWS[0] + [BIG_CELL]] + TAXONOMY_ROWS[1:],
+         1),
+        (("estimates",), estimate_rows()[:5]
+         + [estimate_rows()[5][:4] + [BIG_CELL] + estimate_rows()[5][5:]]
+         + estimate_rows()[6:], 6),
+        # the row count reads the header, and every row of a file with a
+        # quote after its header line
+        (("run", "count"), [RUN_ROWS[0][:3] + [BIG_CELL]] + RUN_ROWS[1:], 1),
+        (("run",), RUN_ROWS[:3] + [[b"2", BIG_CELL, b"0", b"0"]]
+         + RUN_ROWS[4:], 4),
+        (("run", "count"), RUN_ROWS[:3] + [[b"2", b'"%s"' % BIG_CELL, b"0",
+                                            b"0"]] + RUN_ROWS[4:], 4),
+        # a header cell holding a line end: the big cell is on line 4
+        (("run", "count"), [[b"t", b'"map_1\n"', b"map_2", b"map_3"]]
+         + RUN_ROWS[1:2] + [[b"1", BIG_CELL, b"0", b"0"]] + RUN_ROWS[3:], 4),
+        # after a quoted cell holding a line end, the big cell is on line 6
+        (("run", "count"), RUN_ROWS[:2] + [[b"1", b'"0.5\n"', b"-1", b"0"]]
+         + RUN_ROWS[3:4] + [[b"3", b"1", BIG_CELL, b"0"]] + RUN_ROWS[5:], 6),
+    ])
+    def test_oversized_cell(self, tmp_path, readers, rows, line):
+        """The csv.reader of every input file turns the csv.Error of a cell
+        over csv.field_size_limit() into a DataFormatError naming the
+        file's path and line; where the row count of a run CSV reads the
+        cell, it raises the same message as the parse."""
+        tax = load_taxonomy(write_rows(tmp_path / "tax.csv", TAXONOMY_ROWS))
+        loads = {"taxonomy": load_taxonomy,
+                 "estimates": lambda p: load_estimates_csv(p, tax),
+                 "run": lambda p: pipeline._load_run_csv(p, 3),
+                 "count": lambda p: pipeline._count_rows(p, 3)}
+        path = write_rows(tmp_path / "in.csv", rows)
+        for reader in readers:
+            with pytest.raises(DataFormatError) as info:
+                loads[reader](path)
+            assert str(info.value) == (
+                f"{path}:{line}: field larger than field limit "
+                f"({csv.field_size_limit()})"), reader
 
     def test_subject_entries(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
@@ -954,6 +1001,68 @@ class TestRunFullAnalysis:
             del doc["provenance"]
             reports.append(doc)
         assert reports[0] == reports[1]
+
+    def test_permuted_maps_change_no_series(self, tmp_path):
+        """Map columns reordered together with their taxonomy rows, each
+        class's maps kept in their relative order (so f_1.., a_1.. name
+        the same series), give the same per-series rows bitwise, keyed by
+        (subject, map, state), and the same battery and class means to
+        1e-12: only the order in which means are summed changes."""
+        rng = np.random.default_rng(11)
+        taxonomy = [("F", "Att"), ("F", "DMN"), ("F", "Att"), ("A", "Ven"),
+                    ("A", "WhM"), ("U", "")]
+        order = [3, 0, 5, 1, 4, 2]  # A F U F A F
+        data = {(s, state): rng.standard_normal((1024, 6))
+                for s in range(3) for state in ("rest", "task")}
+        for name, perm in (("same", range(6)), ("permuted", order)):
+            root = tmp_path / name
+            root.mkdir()
+            (root / "tax.csv").write_text(
+                "map_index,class,network_or_artifact\n" + "".join(
+                    f"{k},{cls},{tag}\n" for k, (cls, tag)
+                    in enumerate((taxonomy[i] for i in perm), start=1)))
+            for (s, state), x in data.items():
+                np.savetxt(root / f"run{s}_{state}.csv", np.column_stack(
+                    [np.arange(1024), x[:, list(perm)]]),
+                    fmt="%.17g", delimiter=",", comments="",
+                    header="t," + ",".join(f"map_{k}" for k in range(1, 7)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the one-map U class
+                run_full_analysis(AnalysisConfig(
+                    inputs={"taxonomy": str(root / "tax.csv"), "subjects": [
+                        {"id": f"s{s}", "rest": str(root / f"run{s}_rest.csv"),
+                         "task": str(root / f"run{s}_task.csv")}
+                        for s in range(3)]},
+                    output_dir=str(root / "out")))
+        same, permuted = tmp_path / "same" / "out", tmp_path / "permuted" / "out"
+
+        def by_series(path):
+            rows = {}
+            with open(path, newline="") as fh:
+                for row in list(csv.reader(fh))[1:]:
+                    rows.setdefault(tuple(row[:3]), []).append(row)
+            return rows
+
+        for name in ("estimates.csv", "spectra.csv", "dh_curves.csv"):
+            expected = by_series(same / name)
+            assert len(expected) == 36, name
+            assert by_series(permuted / name) == expected, name
+
+        # every value of pvalues.csv is also in the report's battery
+        def assert_close(a, b, where=""):
+            if isinstance(a, dict):
+                assert a.keys() == b.keys(), where
+                for k in a:
+                    assert_close(a[k], b[k], f"{where}/{k}")
+            elif isinstance(a, float) and isinstance(b, float):
+                assert a == b or math.isclose(a, b, rel_tol=1e-12), where
+            else:
+                assert a == b, where
+
+        reports = [json.loads((out / "group_report.json").read_text())
+                   for out in (same, permuted)]
+        for part in ("aggregate", "battery", "failures", "dropped_subjects"):
+            assert_close(reports[0][part], reports[1][part], part)
 
     def test_synthetic_recipes_expand_to_samples(self):
         cfg = AnalysisConfig(synthetic=SMALL_SYNTH, seed=6)

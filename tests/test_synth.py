@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ class TestMemoisedSpectra:
         for _ in range(2):
             assert generate(spec).samples.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kind, hurst, lambda2", [
+        ("fgn", 0.6, 0.0), ("fgn", 0.8, 0.0), ("mrw", 0.6, 0.03),
+        ("mrw", 0.8, 0.03)])
+    def test_long_series_shapes_equal_one_pass_oracle(self, kind, hurst,
+                                                      lambda2):
+        """The hypothesis test stops at 2^12 samples; the long_series
+        benchmark draws 2^16."""
+        spec = GeneratorSpec(kind, hurst, 2**16, seed=2024, lambda2=lambda2)
+        assert (generate(spec).samples.tobytes()
+                == generated_samples(spec).tobytes())
+
     def test_memoised_roots_are_read_only(self):
         for memo, args in ((_fgn_root, (0.7, 64)),
                            (_omega_root, (0.05, 16, 64))):
@@ -236,6 +248,29 @@ class TestMemoisedSpectra:
             assert memo(*args) is root
             with pytest.raises(ValueError):
                 root[0] = 0.0
+
+
+class TestSampleMemory:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kept_realizations_hold_only_their_samples(self, kind):
+        """Each realization owns a C-contiguous buffer of its n samples and
+        pins nothing else (numpy reports its buffers to tracemalloc): a
+        view into the 2n-point complex FFT output would hold 4x its
+        nbytes."""
+        mrw = {"lambda2": 0.03} if kind == "mrw" else {}
+        specs = [GeneratorSpec(kind, 0.7, 2**14, seed=s, **mrw)
+                 for s in range(16)]
+        generate(specs[0])  # memoise the roots outside the trace
+        tracemalloc.start()
+        try:
+            kept = [generate(spec).samples for spec in specs]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        for samples in kept:
+            assert samples.flags.owndata and samples.flags.c_contiguous
+        nbytes = sum(samples.nbytes for samples in kept)
+        assert held <= 1.05 * nbytes, (held, nbytes)
 
 
 class TestTheoreticalZeta:
