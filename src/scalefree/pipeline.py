@@ -281,8 +281,8 @@ class SyntheticRun:
 @dataclass(frozen=True)
 class FileRun:
     """Recipe for the (n, K) matrix of one run CSV, parsed by the task that
-    analyzes it: load_dataset has checked its header and counted its
-    length sample rows."""
+    analyzes it: load_dataset has checked its header, and length is the
+    sample-row count of its state's first run."""
 
     path: str
     n_maps: int
@@ -290,10 +290,10 @@ class FileRun:
 
     def matrix(self, config: AnalysisConfig) -> np.ndarray:
         matrix = _load_run_csv(self.path, self.n_maps)
-        if len(matrix) != self.length:  # the file changed since the count
+        if len(matrix) != self.length:
             raise DataFormatError(
-                f"{self.path}: {len(matrix)} sample rows; it had "
-                f"{self.length} when the study was loaded")
+                f"{self.path}: {len(matrix)} sample rows; the first run of "
+                f"its state had {self.length}")
         return matrix
 
 
@@ -320,9 +320,14 @@ def _utf8(path, newline=None):
                 f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _is_row(cells) -> bool:
-    """Whether a csv.reader row holds data: a row of blank cells is skipped."""
-    return any(c.strip() for c in cells)
+def _numbered(reader):
+    """(line_no, cells) of each row of reader that holds data (a row of
+    blank cells is skipped); line_no is the row's first physical line."""
+    line_no = reader.line_num + 1
+    for row in reader:
+        if any(c.strip() for c in row):
+            yield line_no, row
+        line_no = reader.line_num + 1
 
 
 @contextmanager
@@ -337,9 +342,7 @@ def _csv_rows(path):
             header = next(reader, None)
             if header is None:
                 raise DataFormatError(f"{path}: empty file")
-            yield [h.strip() for h in header], (
-                (line_no, row) for line_no, row
-                in enumerate(reader, start=2) if _is_row(row))
+            yield [h.strip() for h in header], _numbered(reader)
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -438,31 +441,6 @@ def _require_rows(path, n: int) -> None:
         raise DataFormatError(f"{path}: fewer than 2 sample rows")
 
 
-def _count_rows(path, n_maps: int) -> int:
-    """The number of sample rows _load_run_csv reads from a run CSV, after
-    the same header check, with no cell parsed.  Until a line holds a
-    quote, csv.reader reads one row per line (ended by \\n, \\r or \\r\\n,
-    as an open(newline="") file splits them), and a row is blank when its
-    line holds only commas and whitespace.  A file with a quote after its
-    first line is counted by _csv_rows, as the parse reads it."""
-    with _csv_rows(path) as (header, _):
-        _run_columns(path, header, n_maps)
-    count = 0
-    with _utf8(path, newline="") as fh:
-        next(fh)  # the header line (a multi-line header leaves a quote)
-        for line in fh:
-            if '"' in line:  # a quoted cell may hold a comma or a line end
-                with _csv_rows(path) as (_, rows):
-                    count = sum(1 for _ in rows)
-                break
-            # most lines start with a digit, which is no blank
-            if (line.lstrip()[:1] not in ("", ",")
-                    or line.replace(",", "").strip()):
-                count += 1
-    _require_rows(path, count)
-    return count
-
-
 def _load_run_csv(path, n_maps: int) -> np.ndarray:
     """The (n, n_maps) C-contiguous samples of a run CSV; its t column is
     checked and dropped.  A file the vectorised pass rejects is parsed cell
@@ -486,9 +464,10 @@ def _load_run_csv(path, n_maps: int) -> np.ndarray:
 
 def load_dataset(config: AnalysisConfig) -> Dataset:
     """Validate the file-backed dataset declared in config.inputs: its
-    taxonomy, subject ids, and each run CSV's encoding, header and row
-    count (equal within a state).  No sample is parsed here: each run is a
-    FileRun recipe, read by the task that analyzes it."""
+    taxonomy, subject ids, and each run CSV's header.  The first run of
+    each state is read whole, and its row count is the state's length.
+    No sample is parsed here: each run is a FileRun recipe, read by the
+    task that analyzes it, which checks its length."""
     if config.inputs is None:
         raise ParameterError("config has no 'inputs' section")
     inputs = config.inputs
@@ -506,13 +485,13 @@ def load_dataset(config: AnalysisConfig) -> Dataset:
                 f"config key inputs.subjects[{i}].id: duplicate subject id {sid!r}")
         subjects.append(sid)
         for state in STATES:
-            n = _count_rows(entry[state], taxonomy.n_maps)
-            if state in lengths and lengths[state] != n:
-                raise DataFormatError(
-                    f"{entry[state]}: {n} samples; the {state} runs of "
-                    f"previous subjects have {lengths[state]}")
-            lengths[state] = n
-            runs[(sid, state)] = FileRun(entry[state], taxonomy.n_maps, n)
+            path = entry[state]
+            with _csv_rows(path) as (header, rows):
+                _run_columns(path, header, taxonomy.n_maps)
+                if state not in lengths:
+                    lengths[state] = sum(1 for _ in rows)
+                    _require_rows(path, lengths[state])
+            runs[(sid, state)] = FileRun(path, taxonomy.n_maps, lengths[state])
     if not subjects:
         raise DataFormatError("inputs.subjects is empty")
     return Dataset(subjects=tuple(subjects), runs=runs, taxonomy=taxonomy)
@@ -704,7 +683,7 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
     are written.
     """
     dataset = _build_dataset(config)
-    # Every run of a state has the same length (load_dataset checks it).
+    # A state's first run gives its length (FileRun.matrix checks the rest).
     lengths = ({config.synthetic["length"]} if config.synthetic is not None
                else {dataset.runs[(dataset.subjects[0], state)].length
                      for state in STATES})

@@ -167,6 +167,14 @@ class TestSpectrumCommand:
             err = capsys.readouterr().err
             assert code == 1, row
             assert err.startswith(f"error: {signal_csv.parent}") and named in err
+        # a quoted cell holding a line end ends line 3's row on line 4, so
+        # the last case's row starts on line 6
+        lines[2] = lines[2].replace(",", ',"') + '\n"'
+        signal_csv.write_text("\n".join(lines) + "\n")
+        assert main(["spectrum", "--in", str(signal_csv),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {signal_csv}:6: column value: cannot parse ''\n")
 
 
 class TestAnalyzeCommand:
@@ -376,7 +384,7 @@ class TestInputFiles:
              signal, 3),
             (["battery", "--estimates", str(estimates), "--taxonomy", str(tax),
               "--out", str(tmp_path / "x.out")], estimates, 2),
-            # the row count reads the quoted cell before the length check
+            # the first run of a state is read whole when the study loads
             (["analyze", "--config", str(config)], run, 10),
             (["analyze", "--config", str(config)], tax, 3),
         ]
@@ -465,3 +473,14 @@ class TestBatteryCommand:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert f"{estimates}:4: column c1: cannot parse 'oops'" in err
+
+        # a quoted error cell holding a line end moves that row to line 5
+        rows[1][rows[0].index("error")] = "\n"
+        with open(estimates, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["battery", "--estimates", str(estimates),
+                     "--taxonomy", str(tax_path),
+                     "--out", str(tmp_path / "battery.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {estimates}:5: column c1: cannot parse 'oops'\n")
+        assert not (tmp_path / "battery.json").exists()

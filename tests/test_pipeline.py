@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalefree import pipeline
+from scalefree.cli import _read_column, main
 from scalefree.errors import (DataFormatError, DegenerateInputError,
                               ParameterError, ScaleFreeError, ScaleRangeError)
 from scalefree.grouptests import GroupTable, run_battery
@@ -217,6 +218,18 @@ class TestConfig:
         assert cfg.gamma_eps == 0.2
 
 
+def set_cells(*cells):
+    """An edit of a run CSV's lines: each (line, column, token) puts token
+    in that cell of the file's line, counted from 1 before any edit."""
+    def edit(lines):
+        for line, col, token in cells:
+            parts = lines[line - 1].split(",")
+            parts[col] = token
+            lines[line - 1] = ",".join(parts)
+        return lines
+    return edit
+
+
 def outputs(out: Path) -> dict:
     """{name: bytes} of every file in an output directory."""
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -231,9 +244,10 @@ def file_study_config(tmp_path, **fields) -> AnalysisConfig:
 
 class TestLoadDataset:
     def test_round_trip(self, tmp_path):
-        """load_dataset counts each run CSV's rows and parses none; a run's
-        matrix is the file's map columns, and the study gives the same
-        outputs with 1 and 2 workers."""
+        """load_dataset parses no run CSV, and every run's length is the
+        row count of its state's first run; a run's matrix is the file's
+        map columns, and the study gives the same outputs with 1 and 2
+        workers."""
         cfg = file_study_config(tmp_path, sampling_rate=2.0)
         ds = load_dataset(cfg)
         assert ds.taxonomy.n_maps == 3
@@ -255,25 +269,37 @@ class TestLoadDataset:
         assert len(written[0]) == 6 and written[0] == written[1]
 
     @staticmethod
-    def _check_bad_cell_located(tmp_path, subject, state, line, col, token,
-                                message):
-        """A bad cell is found when its run is parsed, not by load_dataset:
-        FileRun.matrix and run_full_analysis with 1 and 2 workers raise the
-        same located error, leave no ".partial" file, an earlier run's
-        outputs whole, and no output directory of their own."""
+    def _check_run_fault_located(tmp_path, monkeypatch, subject, state, edit,
+                                 message, after_load=False):
+        """A run CSV whose body is at fault (edit(lines) gives its lines)
+        passes load_dataset, which parses no cell and reads a whole file
+        only for a state's first run; with after_load, the file is edited
+        once load_dataset has read it.  The fault is found when its run is
+        parsed: FileRun.matrix and run_full_analysis with 1 and 2 workers
+        raise the same located error, leave no ".partial" file, an earlier
+        run's outputs whole, and no output directory of their own."""
         cfg = file_study_config(tmp_path)
         earlier = tmp_path / "earlier"
         run_full_analysis(replace(cfg, output_dir=str(earlier)))
         before = outputs(earlier)
 
         path = Path(cfg.inputs["subjects"][subject][state])
-        lines = path.read_text().splitlines()
-        parts = lines[line - 1].split(",")
-        parts[col] = token
-        lines[line - 1] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
+        text = path.read_text()
+        edited = "\n".join(edit(text.splitlines())) + "\n"
+        if after_load:
+            load = pipeline.load_dataset
 
-        run = load_dataset(cfg).runs[f"sub{subject}", state]
+            def load_then_edit(config):
+                path.write_text(text)
+                dataset = load(config)
+                path.write_text(edited)
+                return dataset
+
+            monkeypatch.setattr(pipeline, "load_dataset", load_then_edit)
+        else:
+            path.write_text(edited)
+
+        run = pipeline.load_dataset(cfg).runs[f"sub{subject}", state]
         with pytest.raises(DataFormatError) as info:
             run.matrix(cfg)
         located = str(info.value)
@@ -287,29 +313,49 @@ class TestLoadDataset:
             assert outputs(earlier) == before
             assert not (tmp_path / f"new_w{workers}").exists()
 
-    def test_nan_located(self, tmp_path):
-        self._check_bad_cell_located(tmp_path, 1, "task", 19, 2, "nan",
-                                     ":19: column map_2: non-finite value")
+    def test_nan_located(self, tmp_path, monkeypatch):
+        self._check_run_fault_located(
+            tmp_path, monkeypatch, 1, "task", set_cells((19, 2, "nan")),
+            ":19: column map_2: non-finite value")
 
-    def test_bad_token_located(self, tmp_path):
-        self._check_bad_cell_located(tmp_path, 0, "rest", 4, 1, "oops",
-                                     ":4: column map_1: cannot parse 'oops'")
+    def test_bad_token_located(self, tmp_path, monkeypatch):
+        self._check_run_fault_located(
+            tmp_path, monkeypatch, 0, "rest", set_cells((4, 1, "oops")),
+            ":4: column map_1: cannot parse 'oops'")
 
-    def test_oversized_cell_located(self, tmp_path):
-        self._check_bad_cell_located(
-            tmp_path, 2, "rest", 7, 3, BIG_CELL.decode(),
+    def test_oversized_cell_located(self, tmp_path, monkeypatch):
+        self._check_run_fault_located(
+            tmp_path, monkeypatch, 2, "rest",
+            set_cells((7, 3, BIG_CELL.decode())),
             f":7: field larger than field limit ({csv.field_size_limit()})")
 
-    def test_file_changed_after_load_located(self, tmp_path):
-        inputs = write_fixture_dataset(tmp_path)
-        cfg = AnalysisConfig(inputs=inputs)
-        run = load_dataset(cfg).runs["sub1", "rest"]
-        path = Path(run.path)
-        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
-        with pytest.raises(DataFormatError) as info:
-            run.matrix(cfg)
-        assert str(info.value) == (
-            f"{path}: 63 sample rows; it had 64 when the study was loaded")
+    def test_bad_cell_after_quoted_line_end_located(self, tmp_path,
+                                                    monkeypatch):
+        """A quoted cell holding a line end on line 3 moves the nan of
+        the file's 19th line onto physical line 20."""
+        self._check_run_fault_located(
+            tmp_path, monkeypatch, 1, "task",
+            set_cells((3, 1, '"0.25\n"'), (19, 2, "nan")),
+            ":20: column map_2: non-finite value")
+
+    def test_length_mismatch(self, tmp_path, monkeypatch):
+        """The last subject's task run one row short or long: load_dataset
+        accepts the study, and the run's task names both lengths."""
+        for edit, n in ((lambda lines: lines[:-1], 511),
+                        (lambda lines: lines + lines[-1:], 513)):
+            root = tmp_path / f"n{n}"
+            root.mkdir()
+            self._check_run_fault_located(
+                root, monkeypatch, 2, "task", edit,
+                f": {n} sample rows; the first run of its state had 512")
+
+    def test_file_changed_after_load_located(self, tmp_path, monkeypatch):
+        """A state's first run, whose rows load_dataset counted, shortened
+        before its task parses it."""
+        self._check_run_fault_located(
+            tmp_path, monkeypatch, 0, "rest", lambda lines: lines[:-1],
+            ": 511 sample rows; the first run of its state had 512",
+            after_load=True)
 
     def test_unknown_taxonomy_class(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
@@ -340,16 +386,6 @@ class TestLoadDataset:
         assert f"{path}:1: column 3 is 'm1', expected 'map_2'" in message
         assert "t,map_1..map_3" in message
         assert "declares" not in message
-
-    def test_length_mismatch(self, tmp_path):
-        inputs = write_fixture_dataset(tmp_path)
-        path = Path(inputs["subjects"][1]["rest"])
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(DataFormatError) as info:
-            load_dataset(AnalysisConfig(inputs=inputs))
-        assert str(info.value) == (
-            f"{path}: 59 samples; the rest runs of previous subjects have 64")
 
     def test_expected_counts_enforced(self, tmp_path):
         inputs = write_fixture_dataset(tmp_path)
@@ -432,30 +468,26 @@ class TestIngestErrors:
         (("estimates",), estimate_rows()[:5]
          + [estimate_rows()[5][:4] + [BIG_CELL] + estimate_rows()[5][5:]]
          + estimate_rows()[6:], 6),
-        # the row count reads the header, and every row of a file with a
-        # quote after its header line
-        (("run", "count"), [RUN_ROWS[0][:3] + [BIG_CELL]] + RUN_ROWS[1:], 1),
+        (("run",), [RUN_ROWS[0][:3] + [BIG_CELL]] + RUN_ROWS[1:], 1),
         (("run",), RUN_ROWS[:3] + [[b"2", BIG_CELL, b"0", b"0"]]
          + RUN_ROWS[4:], 4),
-        (("run", "count"), RUN_ROWS[:3] + [[b"2", b'"%s"' % BIG_CELL, b"0",
-                                            b"0"]] + RUN_ROWS[4:], 4),
+        (("run",), RUN_ROWS[:3] + [[b"2", b'"%s"' % BIG_CELL, b"0", b"0"]]
+         + RUN_ROWS[4:], 4),
         # a header cell holding a line end: the big cell is on line 4
-        (("run", "count"), [[b"t", b'"map_1\n"', b"map_2", b"map_3"]]
+        (("run",), [[b"t", b'"map_1\n"', b"map_2", b"map_3"]]
          + RUN_ROWS[1:2] + [[b"1", BIG_CELL, b"0", b"0"]] + RUN_ROWS[3:], 4),
         # after a quoted cell holding a line end, the big cell is on line 6
-        (("run", "count"), RUN_ROWS[:2] + [[b"1", b'"0.5\n"', b"-1", b"0"]]
+        (("run",), RUN_ROWS[:2] + [[b"1", b'"0.5\n"', b"-1", b"0"]]
          + RUN_ROWS[3:4] + [[b"3", b"1", BIG_CELL, b"0"]] + RUN_ROWS[5:], 6),
     ])
     def test_oversized_cell(self, tmp_path, readers, rows, line):
         """The csv.reader of every input file turns the csv.Error of a cell
         over csv.field_size_limit() into a DataFormatError naming the
-        file's path and line; where the row count of a run CSV reads the
-        cell, it raises the same message as the parse."""
+        file's path and line."""
         tax = load_taxonomy(write_rows(tmp_path / "tax.csv", TAXONOMY_ROWS))
         loads = {"taxonomy": load_taxonomy,
                  "estimates": lambda p: load_estimates_csv(p, tax),
-                 "run": lambda p: pipeline._load_run_csv(p, 3),
-                 "count": lambda p: pipeline._count_rows(p, 3)}
+                 "run": lambda p: pipeline._load_run_csv(p, 3)}
         path = write_rows(tmp_path / "in.csv", rows)
         for reader in readers:
             with pytest.raises(DataFormatError) as info:
@@ -553,6 +585,36 @@ def loads_or_located(load, path):
         return None
 
 
+# Per reader of a CSV file: a valid file's rows, the columns where a quoted
+# cell may hold a line end and read as it did, and defects (rows, r -> the
+# new row r) that each raise a per-row error.
+SIGNAL_ROWS = ([[b"t", b"value"]]
+               + [[b"%d" % i, b"%.17g" % (0.25 * i - 1)] for i in range(8)])
+LINE_END_READERS = {
+    "taxonomy": (TAXONOMY_ROWS, (0, 1, 2), (
+        lambda rows, r: [b"x"] + rows[r][1:],
+        lambda rows, r: rows[r][:1] + [b"Z"] + rows[r][2:],
+        lambda rows, r: rows[r][:1],
+        lambda rows, r: rows[r - 1][:1] + rows[r][1:],
+    )),
+    "run": (RUN_ROWS, (0, 1, 2, 3), (
+        lambda rows, r: rows[r][:1] + [b"abc"] + rows[r][2:],
+        lambda rows, r: rows[r][:2] + [b"nan"] + rows[r][3:],
+        lambda rows, r: rows[r][:-1],
+        lambda rows, r: rows[r] + [b"0"],
+    )),
+    "estimates": (estimate_rows(), (4, 5, 6, 7), (
+        lambda rows, r: rows[r][:4] + [b"abc"] + rows[r][5:],
+        lambda rows, r: rows[r][:1] + [b"f_9"] + rows[r][2:],
+        lambda rows, r: rows[r][:2] + [b"nap"] + rows[r][3:],
+    )),
+    "spectrum": (SIGNAL_ROWS, (0, 1), (
+        lambda rows, r: rows[r][:1] + [b"abc"],
+        lambda rows, r: rows[r][:1],
+    )),
+}
+
+
 class TestLocatedErrorFuzz:
     @given(edit=FUZZ_EDITS)
     @settings(max_examples=150, deadline=None)
@@ -622,24 +684,28 @@ class TestLocatedErrorFuzz:
     @example(edit=("line", 6, 0, b"\r"), newline=b"\r\n")
     @settings(max_examples=300, deadline=None)
     def test_run_csv_row_count_parity(self, tmp_path_factory, edit, newline):
-        """The row count load_dataset takes without parsing equals the row
+        """The length load_dataset takes from a state's first run CSV, by
+        counting its _csv_rows rows with no cell parsed, equals the row
         count of the matrix _load_run_csv returns, and where the count
         raises, the parse raises the same message.  The examples: a line of
         only commas and whitespace (blank to csv.reader), quoted cells
         holding a line end (with a comma, or a number the parse reads), a
         line of quoted blank cells, a quoted cell, a quoted header cell, a
         lone \\r in a line, and a line that is a lone \\r."""
-        path = write_rows(tmp_path_factory.mktemp("fuzz") / "run.csv",
-                          fuzzed(RUN_ROWS, edit), newline)
+        root = tmp_path_factory.mktemp("fuzz")
+        path = write_rows(root / "run.csv", fuzzed(RUN_ROWS, edit), newline)
+        tax = write_rows(root / "tax.csv", TAXONOMY_ROWS)
+        config = AnalysisConfig(inputs={"taxonomy": str(tax), "subjects": [
+            {"id": "a", "rest": str(path), "task": str(path)}]})
 
         def outcome(read):
             try:
-                return read(path, 3)
+                return read()
             except DataFormatError as exc:
                 return str(exc)
 
-        count = outcome(pipeline._count_rows)
-        parsed = outcome(pipeline._load_run_csv)
+        count = outcome(lambda: load_dataset(config).runs["a", "rest"].length)
+        parsed = outcome(lambda: pipeline._load_run_csv(path, 3))
         if isinstance(parsed, np.ndarray):
             assert count == len(parsed), (count, parsed)
         if isinstance(count, str):
@@ -670,6 +736,49 @@ class TestLocatedErrorFuzz:
                 [[cells[sid, label, state] for state in ("rest", "task")]
                  for label in ("f_1", "a_1", "u_1")] for sid in table.subjects]
 
+    @pytest.mark.parametrize("reader", sorted(LINE_END_READERS))
+    @given(data=st.data(), newline=st.sampled_from((b"\n", b"\r\n")))
+    @settings(max_examples=40, deadline=None)
+    def test_error_names_first_physical_line(self, tmp_path_factory, reader,
+                                             data, newline):
+        """Quoted cells holding a line end before a defect move its error
+        to the defect row's first physical line and change no other text
+        of the message, for each reader: the taxonomy, a run CSV, the
+        estimates CSV of battery --estimates and the column of spectrum
+        --in."""
+        root = tmp_path_factory.mktemp("fuzz")
+        tax = load_taxonomy(write_rows(root / "tax.csv", TAXONOMY_ROWS))
+        load = {"taxonomy": load_taxonomy,
+                "run": lambda p: pipeline._load_run_csv(p, 3),
+                "estimates": lambda p: load_estimates_csv(p, tax),
+                "spectrum": lambda p: _read_column(p, "value")}[reader]
+        valid, columns, defects = LINE_END_READERS[reader]
+        rows = [list(row) for row in valid]
+        r = data.draw(st.integers(1, len(rows) - 1), label="defect row")
+        rows[r] = data.draw(st.sampled_from(defects), label="defect")(rows, r)
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, r - 1), st.sampled_from(columns),
+                      st.sampled_from((b"\n", b"\r\n")), st.booleans()),
+            min_size=1, max_size=3, unique_by=lambda cell: cell[:2]),
+            label="quoted cells holding a line end")
+
+        def message(line_ends):
+            quoted = [list(row) for row in rows]
+            for q, col, line_end, before in cells:
+                text = quoted[q][col]
+                if line_ends:
+                    text = line_end + text if before else text + line_end
+                quoted[q][col] = b'"%s"' % text
+            path = write_rows(root / "in.csv", quoted, newline)
+            with pytest.raises(DataFormatError) as info:
+                load(path)
+            return str(info.value), path
+
+        plain, path = message(False)
+        assert plain.startswith(f"{path}:{r + 1}: "), plain
+        line = r + 1 + len(cells)
+        assert message(True)[0] == plain.replace(
+            f"{path}:{r + 1}: ", f"{path}:{line}: ", 1)
 
 @lru_cache(maxsize=None)
 def affine_series(i: int) -> np.ndarray:
@@ -822,6 +931,19 @@ class TestRunFullAnalysis:
         with pytest.raises(ScaleRangeError, match="length 2048"):
             run_full_analysis(cfg)
 
+    def test_infeasible_file_study_fails_before_any_run_is_parsed(
+            self, tmp_path, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a run was parsed or a series ran")
+
+        monkeypatch.setattr(pipeline, "_load_run_csv", unexpected)
+        monkeypatch.setattr(pipeline, "analyze_series", unexpected)
+        cfg = replace(file_study_config(tmp_path), octave_range=(3, 9),
+                      output_dir=str(tmp_path / "out"))
+        with pytest.raises(ScaleRangeError, match="length 512 supports"):
+            run_full_analysis(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_pool_size_is_bounded(self):
         cores = os.cpu_count() or 1
         assert _pool_size(10**6, 5) == min(5, cores)
@@ -958,6 +1080,32 @@ class TestRunFullAnalysis:
                 assert ((out / name).read_bytes()
                         == (expected / name).read_bytes()), (workers, name)
             assert report(out) == report(expected), workers
+
+    @pytest.mark.parametrize("study", ["synthetic", "files"])
+    def test_rerun_of_resolved_config_is_byte_identical(self, tmp_path,
+                                                        study):
+        """scalefree analyze on the config_resolved.json a run wrote, with
+        only output_dir added, writes all six outputs again byte for byte,
+        for a synthetic and a file study."""
+        config = ({"synthetic": {"subjects": 3, "length": 1024,
+                                 "maps": {"F": 2, "A": 1, "U": 1}}, "seed": 6}
+                  if study == "synthetic" else
+                  {"inputs": write_fixture_dataset(tmp_path, n_subjects=3,
+                                                   n_maps=3, n=512, seed=5),
+                   "octave_range": [2, 5]})
+
+        def analyze(config, out):
+            path = tmp_path / f"{out}.json"
+            path.write_text(json.dumps({**config,
+                                        "output_dir": str(tmp_path / out)}))
+            assert main(["analyze", "--config", str(path)]) == 0
+            return outputs(tmp_path / out)
+
+        written = analyze(config, "first")
+        resolved = json.loads(written["config_resolved.json"])
+        assert "output_dir" not in resolved
+        assert len(written) == 6
+        assert analyze(resolved, "rerun") == written
 
     def test_relabelled_subjects_change_only_labels(self, tmp_path):
         """The same file study under ids that need CSV quoting, in the same
