@@ -292,7 +292,10 @@ def legendre_spectrum(zeta_pairs) -> np.ndarray:
     slopes = np.diff(zeta) / np.diff(q)
     h_grid = np.linspace(slopes.min() - LEGENDRE_MARGIN,
                          slopes.max() + LEGENDRE_MARGIN, LEGENDRE_GRID_SIZE)
-    d_vals = np.min(1.0 + np.outer(h_grid, q) - zeta[None, :], axis=1)
+    # a running minimum over q, with no (h, q) table
+    d_vals = np.full_like(h_grid, np.inf)
+    for q_k, zeta_k in zip(q.tolist(), zeta.tolist()):
+        np.minimum(d_vals, h_grid * q_k + 1.0 - zeta_k, out=d_vals)
     keep = d_vals >= 0.0
     return np.column_stack([h_grid[keep], d_vals[keep]])
 

@@ -580,11 +580,11 @@ def _synthetic_samples(config: AnalysisConfig, subject_idx: int, map_idx: int,
 
 
 def _run_one(task) -> list:
-    """(key, estimate, error, text) of each series of one (subject, state)
-    run; a series that raises a ScaleFreeError fails alone.  The run's
-    recipe is expanded (its file parsed or its series synthesized), its
-    series analyzed, then formatted, in that order; a file that does not
-    parse raises its located DataFormatError."""
+    """(key, (c1, c2, hurst) or None, error, text) of each series of one
+    (subject, state) run; a series that raises a ScaleFreeError fails
+    alone.  The run's recipe is expanded, its series analyzed, then
+    formatted (faster than one by one), and no MfEstimate is returned; a
+    file that does not parse raises its located DataFormatError."""
     (subject, state), run, labels, config = task
     matrix = run.matrix(config)
     outcomes = []
@@ -595,17 +595,17 @@ def _run_one(task) -> list:
             outcomes.append((key, analyze_series(signal, config), None))
         except ScaleFreeError as exc:
             outcomes.append((key, None, f"{type(exc).__name__}: {exc}"))
-    return [(key, estimate, error,
-             _series_text(key, estimate, error, config.sampling_rate))
-            for key, estimate, error in outcomes]
+    return [(key, None if e is None else (e.c1, e.c2, e.hurst), error,
+             _series_text(key, e, error, config.sampling_rate))
+            for key, e, error in outcomes]
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """results maps each successful (subject, map, state) key to its
-    MfEstimate; failures maps the others to their error text."""
+    """cells maps each successful (subject, map, state) key to its (c1, c2,
+    hurst), failures the others to their error text."""
 
-    results: dict
+    cells: dict
     failures: dict
     table: GroupTable | None
     summary: GroupSummary | None
@@ -691,9 +691,7 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
         _require_feasible(n, config)
 
     with _published(Path(config.output_dir)) as files:
-        results, failures = _analyze_runs(config, dataset, files)
-
-        cells = {key: (e.c1, e.c2, e.hurst) for key, e in results.items()}
+        cells, failures = _analyze_runs(config, dataset, files)
         table, dropped = _group_table(dataset.subjects, dataset.taxonomy,
                                       cells)
         summary = battery = None
@@ -705,11 +703,11 @@ def run_full_analysis(config: AnalysisConfig) -> AnalysisReport:
             "config_sha256": config.sha256(),
             "seed": config.seed,
             "version": __version__,
-            "n_series": len(results) + len(failures),
+            "n_series": len(cells) + len(failures),
             "n_failures": len(failures),
         }
         report = AnalysisReport(
-            results=results, failures=failures, table=table,
+            cells=cells, failures=failures, table=table,
             summary=summary, battery=battery, provenance=provenance,
             dropped_subjects=dropped, output_dir=config.output_dir,
         )
@@ -770,12 +768,12 @@ def _run_tasks(config: AnalysisConfig, dataset: Dataset) -> list:
 
 def _analyze_runs(config: AnalysisConfig, dataset: Dataset,
                   files: dict) -> tuple:
-    """(results, failures) of every run.  The rows of estimates.csv,
+    """(cells, failures) of every run.  The rows of estimates.csv,
     spectra.csv and dh_curves.csv (files[name]) are written as each
     subject's runs come back, in (subject, map, state) order, and their
     text is then dropped."""
     tasks = _run_tasks(config, dataset)
-    results = {}
+    cells = {}
     failures = {}
     with ExitStack() as stack:
         workers = _pool_size(config.workers, len(tasks))
@@ -787,14 +785,14 @@ def _analyze_runs(config: AnalysisConfig, dataset: Dataset,
         for _ in dataset.subjects:
             runs = [next(batches) for _ in STATES]
             for series in zip(*runs):  # one map, every state
-                for key, estimate, error, text in series:
+                for key, cell, error, text in series:
                     if error is None:
-                        results[key] = estimate
+                        cells[key] = cell
                     else:
                         failures[key] = error
                     for fh, block in zip(files.values(), text):
                         fh.write(block)
-    return results, failures
+    return cells, failures
 
 
 def _group_table(subjects, taxonomy: MapTaxonomy, cells: dict) -> tuple:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: leaders by exhaustive
 interval enumeration, DWT by direct convolution, ANOVA by spelled-out sums
-of squares, WSR by full sign-pattern enumeration, and OLS fits and
-circulant-embedding samples in one pass with nothing shared between calls.
+of squares, WSR by full sign-pattern enumeration, D(h) from the whole (h, q)
+table, and OLS fits and circulant-embedding samples in one pass with nothing
+shared between calls.
 """
 
 import math
@@ -152,6 +153,22 @@ def anova_by_hand(cells):
     }
 
 
+def legendre_by_outer_product(zeta_pairs):
+    """D(h) rows as the library computed them before the running minimum:
+    min over q of the whole (h, q) table 1 + outer(h, q) - zeta, on the
+    same h grid and with the same D >= 0 cut."""
+    from scalefree.leaders_mf import LEGENDRE_GRID_SIZE, LEGENDRE_MARGIN
+    pairs = np.asarray(zeta_pairs, dtype=np.float64)
+    order = np.argsort(pairs[:, 0])
+    q, zeta = pairs[order, 0], pairs[order, 1]
+    slopes = np.diff(zeta) / np.diff(q)
+    h_grid = np.linspace(slopes.min() - LEGENDRE_MARGIN,
+                         slopes.max() + LEGENDRE_MARGIN, LEGENDRE_GRID_SIZE)
+    d_vals = np.min(1.0 + np.outer(h_grid, q) - zeta[None, :], axis=1)
+    keep = d_vals >= 0.0
+    return np.column_stack([h_grid[keep], d_vals[keep]])
+
+
 def fmt(x):
     """A float cell of every output: 17 significant digits, so it
     round-trips exactly; None is empty and a bool is 1 or 0."""
@@ -173,21 +190,22 @@ def csv_text(header, rows):
     return buf.getvalue()
 
 
-def csv_outputs_by_csv_writer(report, subjects, labels, sampling_rate):
-    """{name: text} of the four CSV outputs of a report, each row one
+def csv_outputs_by_csv_writer(estimates, failures, battery, subjects, labels,
+                              sampling_rate):
+    """{name: text} of the four CSV outputs of a study, each row one
     csv.writer row with fmt per float cell, keys in (subject, map, state)
-    order."""
+    order: estimates maps each successful key to its MfEstimate, failures
+    the others to their error text, and battery gives the p-value rows."""
     from scalefree.scaling import scale_to_frequency
 
-    estimates, spectra, dh = [], [], []
+    rows, spectra, dh = [], [], []
     for key in [(s, lab, st) for s in subjects for lab in labels
                 for st in ("rest", "task")]:
-        e = report.results.get(key)
+        e = estimates.get(key)
         if e is None:
-            estimates.append([*key, "error"] + [""] * 9
-                             + [report.failures[key]])
+            rows.append([*key, "error"] + [""] * 9 + [failures[key]])
             continue
-        estimates.append([
+        rows.append([
             *key, "ok", fmt(e.beta), fmt(e.diagnostics.get("welch_beta")),
             fmt(e.hurst), fmt(e.stationary), fmt(e.h_min), fmt(e.gamma),
             str(e.reference_shift), fmt(e.c1), fmt(e.c2), ""])
@@ -200,12 +218,12 @@ def csv_outputs_by_csv_writer(report, subjects, labels, sampling_rate):
     pvalues = [[f"{level}:{state}", unit, param, test,
                 fmt(stat), fmt(p), fmt(p_corr)]
                for level, unit, state, param, test, stat, p, p_corr
-               in report.battery.to_rows()]
+               in battery.to_rows()]
     return {
         "estimates.csv": csv_text(
             ["subject", "map", "state", "status", "beta", "welch_beta",
              "hurst", "stationary", "h_min", "gamma", "reference_shift",
-             "c1", "c2", "error"], estimates),
+             "c1", "c2", "error"], rows),
         "spectra.csv": csv_text(
             ["subject", "map", "state", "octave", "frequency_hz",
              "log2_power", "fitted_log2_power"], spectra),

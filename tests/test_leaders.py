@@ -18,6 +18,7 @@ from scalefree.synth import GeneratorSpec, gen_fbm, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, WaveletPyramid, build_wavelet, dwt
 
 from oracles import assert_leaders_match_oracle as assert_matches_oracle
+from oracles import legendre_by_outer_product
 
 
 def make_pyramid(coeff_arrays, wavelet, source_length=None):
@@ -387,6 +388,21 @@ class TestSpectra:
             dh = legendre_spectrum(pairs)
         assert dh.size > 0
 
+    @given(q=st.lists(st.floats(-8, 8, allow_subnormal=False), min_size=2,
+                      max_size=16, unique=True)
+           .filter(lambda q: min(q) < 0 < max(q)),
+           zeta=st.lists(st.floats(-20, 20, allow_subnormal=False),
+                         min_size=16, max_size=16),
+           shuffle=st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_legendre_equals_outer_product_bitwise(self, q, zeta, shuffle):
+        """The running minimum over q gives the D(h) rows of the whole
+        (h, q) table bit for bit, on mixed-sign grids in any order."""
+        pairs = np.column_stack([q, zeta[:len(q)]])
+        pairs = pairs[shuffle.sample(range(len(q)), len(q))]
+        assert (legendre_spectrum(pairs).tobytes()
+                == legendre_by_outer_product(pairs).tobytes())
+
     def test_spectrum_width_grows_with_intermittency(self, db3):
         # width of {h : D(h) >= 0.9} tracks the cascade strength
         widths = {}
@@ -432,7 +448,8 @@ class TestMultifractalEstimate:
         assert est.zeta.tobytes() == zeta.tobytes()
         assert (est.diagnostics["zeta_r_squared"].tobytes()
                 == np.array([f.r_squared for f in fits]).tobytes())
-        assert est.spectrum.tobytes() == legendre_spectrum(zeta).tobytes()
+        assert (est.spectrum.tobytes()
+                == legendre_by_outer_product(zeta).tobytes())
 
     def test_octave_without_leader_below_range_still_fails(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=3))

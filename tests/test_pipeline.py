@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import warnings
 import weakref
 from collections import Counter
@@ -264,7 +265,7 @@ class TestLoadDataset:
             out = tmp_path / f"w{workers}"
             report = run_full_analysis(replace(cfg, output_dir=str(out),
                                                workers=workers))
-            assert len(report.results) == 18 and not report.failures
+            assert len(report.cells) == 18 and not report.failures
             written.append(outputs(out))
         assert len(written[0]) == 6 and written[0] == written[1]
 
@@ -900,6 +901,29 @@ class TestRunFullAnalysis:
         assert doc["provenance"]["config_sha256"] == cfg.sha256()
         assert doc["battery"]["one_sample"]["map"]["f_1"]["rest"]["c1"]["t"]["p_corrected"] >= 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_cells_equal_estimates_csv(self, tmp_path, workers):
+        """The report keeps the (c1, c2, hurst) of each successful series,
+        as estimates.csv writes them, and no MfEstimate leaves a task."""
+        inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
+                                       n=512, seed=5)
+        flatten_map(Path(inputs["subjects"][2]["task"]), 1)  # fails alone
+        out = tmp_path / "out"
+        cfg = AnalysisConfig(inputs=inputs, octave_range=(2, 5),
+                             output_dir=str(out), workers=workers)
+        report = run_full_analysis(cfg)
+        with open(out / "estimates.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
+        assert len(rows) == 23 and list(report.failures) == [
+            ("sub2", "f_1", "task")]
+        assert report.cells == {
+            (r["subject"], r["map"], r["state"]):
+                (float(r["c1"]), float(r["c2"]), float(r["hurst"]))
+            for r in rows}
+        assert not hasattr(report, "results")
+        task = pipeline._run_tasks(cfg, pipeline._build_dataset(cfg))[0]
+        assert b"MfEstimate" not in pickle.dumps(pipeline._run_one(task))
+
     def test_infeasible_octaves_fail_fast(self, tmp_path):
         cfg = AnalysisConfig(
             synthetic={"subjects": 3, "length": 256}, octave_range=(3, 8),
@@ -1023,8 +1047,19 @@ class TestRunFullAnalysis:
         report = run_full_analysis(cfg)
         assert list(report.failures) == [('q"2', "a_1", "task")]
 
-        labels = load_taxonomy(inputs["taxonomy"]).display_labels()
-        expected = csv_outputs_by_csv_writer(report, ids, labels, 2.0)
+        dataset = load_dataset(cfg)
+        labels = dataset.taxonomy.display_labels()
+        estimates = {}
+        for (sid, state), run in dataset.runs.items():
+            for label, samples in zip(labels, run.matrix(cfg).T):
+                key = (sid, label, state)
+                try:
+                    estimates[key] = analyze_series(
+                        Signal(samples, 2.0, label="/".join(key)), cfg)
+                except ScaleFreeError:
+                    assert key in report.failures
+        expected = csv_outputs_by_csv_writer(
+            estimates, report.failures, report.battery, ids, labels, 2.0)
         for name, text in expected.items():
             written = (tmp_path / "out" / name).read_bytes()
             assert written == text.encode("utf-8"), name
@@ -1036,7 +1071,7 @@ class TestRunFullAnalysis:
             assert keys == {
                 key: len(e.diagnostics["spectrum_rows"] if name == "spectra.csv"
                          else e.spectrum)
-                for key, e in report.results.items()}
+                for key, e in estimates.items()}
 
     def test_synthetic_study_read_back_from_files(self, tmp_path):
         """A synthetic study written as %.17g run CSVs and its taxonomy CSV,
@@ -1150,6 +1185,47 @@ class TestRunFullAnalysis:
             reports.append(doc)
         assert reports[0] == reports[1]
 
+    def test_tag_on_u_map_changes_nothing(self, tmp_path):
+        """A tag on the U map names no unit: with a network tag new to the
+        study or one its F maps carry, every CSV output is byte-identical
+        and the report equal but its provenance, with 1 and 2 workers."""
+        rng = np.random.default_rng(13)
+        runs = {}
+        for s in range(3):
+            for state in ("rest", "task"):
+                runs[s, state] = str(tmp_path / f"run{s}_{state}.csv")
+                np.savetxt(runs[s, state], np.column_stack(
+                    [np.arange(512), rng.standard_normal((512, 6))]),
+                    fmt="%.17g", delimiter=",", comments="",
+                    header="t," + ",".join(f"map_{k}" for k in range(1, 7)))
+        tags = ["Att", "DMN", "Att", "Ven", "WhM"]
+
+        def analyze(u_tag, workers):
+            tax = tmp_path / f"tax_{u_tag}.csv"
+            tax.write_text("map_index,class,network_or_artifact\n" + "".join(
+                f"{k},{cls},{tag}\n" for k, (cls, tag)
+                in enumerate(zip("FFFAAU", tags + [u_tag]), start=1)))
+            out = tmp_path / f"out_{u_tag}_{workers}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the one-map U class
+                run_full_analysis(AnalysisConfig(
+                    inputs={"taxonomy": str(tax), "subjects": [
+                        {"id": f"s{s}", "rest": runs[s, "rest"],
+                         "task": runs[s, "task"]} for s in range(3)]},
+                    octave_range=(2, 5), output_dir=str(out),
+                    workers=workers))
+            written = outputs(out)
+            doc = json.loads(written.pop("group_report.json"))
+            del doc["provenance"]
+            del written["config_resolved.json"]  # names the taxonomy file
+            return written, doc
+
+        untagged = analyze("", 1)
+        assert untagged[1]["battery"]["anova"]  # networks and artifacts
+        for u_tag in ("Vis", "Att"):
+            for workers in (1, 2):
+                assert analyze(u_tag, workers) == untagged, (u_tag, workers)
+
     def test_permuted_maps_change_no_series(self, tmp_path):
         """Map columns reordered together with their taxonomy rows, each
         class's maps kept in their relative order (so f_1.., a_1.. name
@@ -1251,17 +1327,13 @@ class TestRunFullAnalysis:
         cfg = AnalysisConfig(**{**base, "output_dir": str(out)},
                              welch_segment_length=1024)
         whole = run_full_analysis(cfg)
-        assert not whole.failures and len(whole.results) == 24
+        assert not whole.failures and len(whole.cells) == 24
         with open(out / "estimates.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 24
         assert all(r["status"] == "ok" and r["welch_beta"] == "nan"
                    for r in rows)
-        for key, e in whole.results.items():
-            assert math.isnan(e.diagnostics["welch_beta"])
-            assert (e.c1, e.c2, e.hurst) == (report.results[key].c1,
-                                             report.results[key].c2,
-                                             report.results[key].hurst)
+        assert whole.cells == report.cells
 
     def test_synthetic_tasks_carry_recipes_not_samples(self, monkeypatch):
         def unexpected(*args, **kwargs):
@@ -1309,7 +1381,7 @@ class TestRunFullAnalysis:
         monkeypatch.setattr(pipeline, "_load_run_csv", tracked)
         report = run_full_analysis(file_study_config(
             tmp_path, output_dir=str(tmp_path / "out"), workers=1))
-        assert len(parsed) == 6 and len(report.results) == 18
+        assert len(parsed) == 6 and len(report.cells) == 18
 
     def test_failed_run_leaves_earlier_outputs_whole(self, tmp_path,
                                                     monkeypatch):
