@@ -8,7 +8,8 @@ greater than task in the paired tests); c2 is tested against 0, one-sided
 (less) in the one-sample battery and two-sided in the paired battery.
 
 P-values come from scipy.special, not scipy.stats, whose import costs
-more than the rest of the package: special.stdtr(df, -t) and
+more than the rest of the package; the battery loads it at its first
+p-value, so analyzing series loads no scipy.  special.stdtr(df, -t) and
 special.stdtr(df, t) are the bodies of scipy.stats.t.sf and t.cdf,
 special.ndtr(-z) and special.ndtr(z) those of norm.sf and norm.cdf, and
 special.fdtrc(d1, d2, F) that of f.sf for F >= 0, so each p-value has the
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DataFormatError, ParameterError
 
@@ -200,6 +200,7 @@ def one_sample_t(values, mu0: float, sidedness: str = "greater") -> TestResult:
         t = math.copysign(math.inf, mean - mu0)
         return TestResult(t, 0.0, f"{df}", "t_one", sidedness, degenerate=True)
     t = (mean - mu0) / (sd / math.sqrt(n))
+    from scipy import special
     if sidedness == "greater":
         p = float(special.stdtr(df, -t))
     elif sidedness == "less":
@@ -252,6 +253,7 @@ def _wsr_normal_p(ranks: np.ndarray, w_obs: float, sidedness: str) -> float:
     _, tie_counts = np.unique(ranks, return_counts=True)
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     sd = math.sqrt(var)
+    from scipy import special
     if sidedness == "greater":
         return float(special.ndtr(-((w_obs - mean - 0.5) / sd)))
     if sidedness == "less":
@@ -365,6 +367,7 @@ def rm_anova_2way(cells: np.ndarray):
     Returns three TestResults (factor A, factor B, interaction) with
     F statistics against the matching subject-by-factor error terms.
     """
+    from scipy import special
     ss = anova_decomposition(cells)
     df = ss["df"]
     results = []

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
 
 from .errors import EstimationError, ParameterError, ScaleRangeError
 from .wavelet import Signal, WaveletPyramid
@@ -87,7 +86,8 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     The integral of the returned PSD over frequency approximates the
     signal variance (segments are mean-detrended).  The operations are
     those of scipy.signal.welch in scipy 1.17 (built on ShortTimeFFT), in
-    its order, on all segments at once: with scipy >= 1.17 power and
+    its order, on all segments at once, with numpy's FFT: with numpy >= 2.0
+    (whose FFT is scipy.fft's C++ pocketfft) and scipy >= 1.17, power and
     frequencies equal its output bitwise (detrend="constant", the DC bin
     dropped).  Older scipy's welch scales the power after the FFT and
     averages another memory layout; its frequencies are the same and its
@@ -118,11 +118,11 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     win = _psd_window(window, segment_length, fs)
     segments = sliding_window_view(x, segment_length)[::step][:n_segments]
     segments = segments - np.mean(segments, axis=-1, keepdims=True)
-    spectra = sp_fft.rfft(segments * win, axis=-1)
+    spectra = np.fft.rfft(segments * win, axis=-1)
     power = spectra.real**2 + spectra.imag**2
     power[:, 1:None if segment_length % 2 else -1] *= 2
     power = np.ascontiguousarray(power.T).mean(axis=-1)
-    freqs = sp_fft.rfftfreq(segment_length, 1 / fs)
+    freqs = np.fft.rfftfreq(segment_length, 1 / fs)
     return SpectrumEstimate(frequencies=freqs[1:], power=power[1:])
 
 

@@ -126,12 +126,14 @@ def _circulant_draw(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = root.size // 2
     z_re = rng.standard_normal(n + 1)
     z_im = rng.standard_normal(n + 1)
+    # Hermitian z in place: x * (1 / sqrt 2) has the bits of complex x / sqrt 2
     z = np.empty(2 * n, dtype=np.complex128)
-    z[0] = z_re[0]
-    z[n] = z_re[n]
-    half = (z_re[1:n] + 1j * z_im[1:n]) / math.sqrt(2.0)
-    z[1:n] = half
-    z[n + 1:] = np.conj(half[::-1])
+    re, im = z.real, z.imag
+    re[0], re[n], im[0], im[n] = z_re[0], z_re[n], 0.0, 0.0
+    np.multiply(z_re[1:n], 1.0 / math.sqrt(2.0), out=re[1:n])
+    np.multiply(z_im[1:n], 1.0 / math.sqrt(2.0), out=im[1:n])
+    re[n + 1:] = re[n - 1:0:-1]
+    np.negative(im[n - 1:0:-1], out=im[n + 1:])
     z *= root
     # n new samples: a view of the real part would pin the 2n complex buffer
     return np.fft.ifft(z).real[:n] * math.sqrt(2 * n)

@@ -356,6 +356,14 @@ def circulant_gaussian(cov_row, rng, clip_tol):
         if total > 0 and neg > clip_tol * total:
             raise AssertionError("clipped eigenvalue energy exceeds clip_tol")
         eigs = np.maximum(eigs, 0.0)
+    sample = np.fft.ifft(np.sqrt(eigs) * hermitian_normal(n, rng)) * math.sqrt(2 * n)
+    return sample.real[:n]
+
+
+def hermitian_normal(n, rng):
+    """The 2n-point conjugate-symmetric complex normal vector of a circulant
+    draw, from 2(n + 1) standard normals, built from temporaries with
+    np.conj."""
     z_re = rng.standard_normal(n + 1)
     z_im = rng.standard_normal(n + 1)
     z = np.empty(2 * n, dtype=np.complex128)
@@ -364,8 +372,14 @@ def circulant_gaussian(cov_row, rng, clip_tol):
     half = (z_re[1:n] + 1j * z_im[1:n]) / math.sqrt(2.0)
     z[1:n] = half
     z[n + 1:] = np.conj(half[::-1])
-    sample = np.fft.ifft(np.sqrt(eigs) * z) * math.sqrt(2 * n)
-    return sample.real[:n]
+    return z
+
+
+def circulant_draw(root, rng):
+    """synth._circulant_draw's sample from the same root and stream, with
+    the Hermitian vector from hermitian_normal."""
+    n = root.size // 2
+    return np.fft.ifft(hermitian_normal(n, rng) * root).real[:n] * math.sqrt(2 * n)
 
 
 def generated_samples(spec):

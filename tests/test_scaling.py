@@ -7,6 +7,7 @@ import pytest
 import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from scalefree.errors import EstimationError, ParameterError, ScaleRangeError
@@ -23,11 +24,16 @@ from scalefree.wavelet import Signal, dwt
 from oracles import ols_line
 
 
+# numpy 2's FFT is the C++ pocketfft that scipy.fft runs; numpy 1.x has the
+# older C pocketfft, whose bits are not checked here.
+NUMPY_CXX_FFT = int(np.__version__.split(".")[0]) >= 2
+
 # welch_psd repeats the operations of scipy 1.17's welch, which is built on
-# ShortTimeFFT, so from that version on the two are equal bitwise.  Older
-# welch scales the power after the FFT and averages another memory layout,
-# which rounds differently: about 1e-14 relative at worst.
-SCIPY_WELCH_BITWISE = tuple(
+# ShortTimeFFT, so from that version on, with numpy's FFT equal to scipy's,
+# the two are equal bitwise.  Older welch scales the power after the FFT and
+# averages another memory layout, which rounds differently: about 1e-14
+# relative at worst.
+SCIPY_WELCH_BITWISE = NUMPY_CXX_FFT and tuple(
     int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 17)
 
 
@@ -237,6 +243,21 @@ class TestWelch:
     def test_default_segment_length(self):
         assert default_segment_length(4096) == 512
         assert default_segment_length(5000) == 512
+
+    @pytest.mark.skipif(not NUMPY_CXX_FFT, reason="numpy 1.x FFT bits unchecked")
+    @given(k=st.integers(1, 19), length=st.integers(2, 8192),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=19, length=375, seed=0)
+    @example(k=2, length=8192, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_rfft_equals_scipy_fft(self, k, length, seed):
+        """welch_psd's np.fft.rfft and rfftfreq give scipy.fft's bits, on
+        (k, L) batches of odd and even segment lengths."""
+        x = np.random.default_rng(seed).standard_normal((k, length))
+        assert (np.fft.rfft(x, axis=-1).tobytes()
+                == sp_fft.rfft(x, axis=-1).tobytes())
+        assert (np.fft.rfftfreq(length, 1 / 2.5).tobytes()
+                == sp_fft.rfftfreq(length, 1 / 2.5).tobytes())
 
 
 class TestWaveletSpectrum:

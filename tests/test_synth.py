@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from scalefree.errors import ParameterError
-from scalefree.synth import (KINDS, GeneratorSpec, _fgn_root, _omega_root,
-                             gen_fbm, gen_fgn, gen_mrw, generate,
+from scalefree.synth import (KINDS, GeneratorSpec, _circulant_draw, _fgn_root,
+                             _omega_root, gen_fbm, gen_fgn, gen_mrw, generate,
                              theoretical_zeta)
 
-from oracles import generated_samples
+from oracles import circulant_draw, generated_samples
 
 
 def fgn_rho(hurst, k):
@@ -240,6 +240,33 @@ class TestMemoisedSpectra:
         spec = GeneratorSpec(kind, hurst, 2**16, seed=2024, lambda2=lambda2)
         assert (generate(spec).samples.tobytes()
                 == generated_samples(spec).tobytes())
+
+    @given(log_n=st.integers(1, 12), hurst=st.floats(0.01, 0.99),
+           omega=st.booleans(), lambda2=st.floats(0.0, 0.5),
+           scale_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**63))
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_draw_equals_conj_formula(self, log_n, hurst, omega,
+                                                lambda2, scale_fraction, seed):
+        """The Hermitian vector assembled in place gives the draw of the
+        one built from temporaries with np.conj, bit for bit."""
+        n = 2**log_n
+        if omega:
+            try:
+                root = _omega_root(lambda2, max(2, round(scale_fraction * n)), n)
+            except AssertionError:  # clipped energy above tolerance
+                return
+        else:
+            root = _fgn_root(hurst, n)
+        drawn = _circulant_draw(root, np.random.default_rng(seed))
+        expected = circulant_draw(root, np.random.default_rng(seed))
+        assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("memo, args", [(_fgn_root, (0.8, 2**16)),
+                                            (_omega_root, (0.03, 2**16, 2**16))])
+    def test_in_place_draw_equals_conj_formula_long(self, memo, args):
+        root = memo(*args)
+        assert (_circulant_draw(root, np.random.default_rng(7)).tobytes()
+                == circulant_draw(root, np.random.default_rng(7)).tobytes())
 
     def test_memoised_roots_are_read_only(self):
         for memo, args in ((_fgn_root, (0.7, 64)),
