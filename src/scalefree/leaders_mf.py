@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, ScaleRangeError
-from .scaling import _ols_design, _ols_fit, fit_loglog
+from .scaling import _octave_design, _ols_fit, fit_loglog
 from .wavelet import WaveletPyramid, sup_magnitudes
 
 DEFAULT_Q_GRID = (-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, -0.25, 0.0,
@@ -101,8 +102,18 @@ class LeaderPyramid:
         return self.leaders[j - 1]
 
     def valid_values(self, j: int) -> np.ndarray:
-        vals = self.level(j)[self.valid_start[j - 1]:self.valid_stop[j - 1]]
-        return vals[vals > 0.0]
+        """The valid, strictly positive leaders of octave j, read-only."""
+        self.level(j)  # the range check
+        return self._valid[j - 1]
+
+    @cached_property
+    def _valid(self) -> tuple:
+        """valid_values of every octave, filtered once per pyramid."""
+        valid = tuple(v[a:b][v[a:b] > 0.0] for v, a, b
+                      in zip(self.leaders, self.valid_start, self.valid_stop))
+        for v in valid:
+            v.setflags(write=False)
+        return valid
 
 
 def compute_leaders(pyramid: WaveletPyramid, gamma: float) -> LeaderPyramid:
@@ -172,14 +183,15 @@ def _moments(leaders: LeaderPyramid, q_grid, j1: int, j2: int) -> tuple:
     q = np.asarray(q_grid, dtype=np.float64)
     if q.size == 0:
         raise ParameterError("q_grid is empty")
-    valid = [leaders.valid_values(j) for j in range(1, leaders.max_octave + 1)]
+    valid = leaders._valid
     for j, v in enumerate(valid, start=1):
         if v.size == 0:
             raise ScaleRangeError(f"octave {j} has no valid leaders")
     if not 1 <= j1 <= j2 <= len(valid):
         raise ScaleRangeError(
             f"octave range ({j1}, {j2}) outside available 1..{len(valid)}")
-    return q, np.vstack([np.mean(v[:, None] ** q[None, :], axis=0)
+    # np.add.reduce / count is np.mean's arithmetic
+    return q, np.vstack([np.add.reduce(v[:, None] ** q[None, :], 0) / v.size
                          for v in valid[j1 - 1:j2]])
 
 
@@ -212,14 +224,12 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
         raise ScaleRangeError(
             f"octave range ({j1}, {j2}) outside available 1..{leaders.max_octave}"
         )
-    octaves = range(j1, j2 + 1)
-    valid = [leaders.valid_values(j) for j in octaves]
+    valid = leaders._valid[j1 - 1:j2]
     _require_cumulant_counts([v.size for v in valid], j1)
     cum = np.array([_k_statistics(np.log(v), p_max)
                     for v in valid])  # (n_octaves, p_max)
 
-    x = np.array(octaves, dtype=np.float64) * math.log(2.0)
-    design = _ols_design(x)
+    design = _octave_design(j1, j2, math.log(2.0))  # on ln 2^j
     c_p = np.empty(p_max)
     r2 = np.empty(p_max)
     for p in range(p_max):
@@ -239,7 +249,7 @@ def _k_statistics(x: np.ndarray, p_max: int) -> tuple:
     the formulas of scipy.stats' k-statistic function, in its operation
     order, so each equals it bitwise (centred moments round differently)."""
     n = x.size
-    s1, s2, s3, s4 = (float(np.sum(x**r)) if r <= p_max else 0.0
+    s1, s2, s3, s4 = (float(np.add.reduce(x**r)) if r <= p_max else 0.0
                       for r in range(1, MAX_P + 1))
     k = (s1 * 1.0/n,
          (n*s2 - s1**2.0) / (n*(n - 1.0)),

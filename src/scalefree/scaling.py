@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import EstimationError, ParameterError, ScaleRangeError
 from .wavelet import Signal, WaveletPyramid
@@ -36,9 +36,9 @@ class SpectrumEstimate:
         p = np.asarray(self.power, dtype=np.float64)
         if f.shape != p.shape or f.ndim != 1:
             raise ParameterError("frequencies and power must be 1-D, same length")
-        if np.any(np.diff(f) <= 0):
+        if (np.diff(f) <= 0).any():
             raise ParameterError("frequencies must be strictly increasing")
-        if np.any(p < 0):
+        if (p < 0).any():
             raise ParameterError("power must be nonnegative")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "power", p)
@@ -101,29 +101,39 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     if segment_length is None:
         segment_length = default_segment_length(n)
     _check_welch(segment_length, overlap_fraction, window, n)
+    step, n_segments, win, freqs = _welch_plan(
+        n, segment_length, overlap_fraction, window, signal.sampling_rate)
+    # Bitwise equality with scipy 1.17's welch needs its exact operations:
+    # the builtin sum in the window norm, and the average over segments
+    # taken along contiguous memory (numpy sums a strided axis in another
+    # order).  np.add.reduce / count is np.mean's arithmetic.
+    stride = x.strides[0]
+    segments = as_strided(x, (n_segments, segment_length), (step * stride, stride),
+                          writeable=False)
+    segments = segments - np.add.reduce(segments, -1, keepdims=True) / segment_length
+    spectra = np.fft.rfft(segments * win, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    power[:, 1:None if segment_length % 2 else -1] *= 2
+    power = np.add.reduce(np.ascontiguousarray(power.T), -1) / n_segments
+    return SpectrumEstimate(frequencies=freqs, power=power[1:])
 
-    noverlap = int(overlap_fraction * segment_length)
-    step = segment_length - noverlap
+
+@lru_cache(maxsize=8)
+def _welch_plan(n: int, segment_length: int, overlap_fraction: float,
+                window: str, fs: float) -> tuple:
+    """(step, n_segments, window, frequencies without DC) of welch_psd on
+    n samples at rate fs, arrays read-only; EstimationError below 2
+    segments."""
+    step = segment_length - int(overlap_fraction * segment_length)
     n_segments = 1 + (n - segment_length) // step
     if n_segments < 2:
         raise EstimationError(
             f"only {n_segments} segment(s) of length {segment_length}; "
             "shorten segments or provide more data"
         )
-    # Bitwise equality with scipy 1.17's welch needs its exact operations:
-    # the builtin sum in the window norm, and the average over segments
-    # taken along contiguous memory (numpy sums a strided axis in another
-    # order).
-    fs = signal.sampling_rate
-    win = _psd_window(window, segment_length, fs)
-    segments = sliding_window_view(x, segment_length)[::step][:n_segments]
-    segments = segments - np.mean(segments, axis=-1, keepdims=True)
-    spectra = np.fft.rfft(segments * win, axis=-1)
-    power = spectra.real**2 + spectra.imag**2
-    power[:, 1:None if segment_length % 2 else -1] *= 2
-    power = np.ascontiguousarray(power.T).mean(axis=-1)
-    freqs = np.fft.rfftfreq(segment_length, 1 / fs)
-    return SpectrumEstimate(frequencies=freqs[1:], power=power[1:])
+    freqs = np.fft.rfftfreq(segment_length, 1 / fs)[1:]
+    freqs.setflags(write=False)
+    return step, n_segments, _psd_window(window, segment_length, fs), freqs
 
 
 def _check_welch(segment_length: int | None, overlap_fraction: float, window: str,
@@ -140,7 +150,6 @@ def _check_welch(segment_length: int | None, overlap_fraction: float, window: st
         raise ParameterError(f"{prefix}window: {window!r} not one of {WINDOWS}")
 
 
-@lru_cache(maxsize=8)
 def _psd_window(window: str, segment_length: int, fs: float) -> np.ndarray:
     """The window scaled for PSD density at rate fs, read-only.
 
@@ -183,41 +192,50 @@ def wavelet_spectrum(pyramid: WaveletPyramid) -> np.ndarray:
             raise ScaleRangeError(
                 f"octave {j} has {v.size} valid coefficient(s); need >= 2"
             )
-        power[j - 1] = np.mean(v**2)
+        power[j - 1] = np.add.reduce(v**2) / v.size  # np.mean's arithmetic
     return power
 
 
 def _ols_design(x: np.ndarray) -> tuple:
-    """(x, w, xbar, x - xbar, sxx): what OLS fits on abscissa x share, w
-    the uniform weights 1/n."""
+    """(x, w, xbar, x - xbar, sxx), arrays read-only copies: what OLS fits
+    on abscissa x share, w the uniform weights 1/n."""
+    x = np.array(x, dtype=np.float64)
     w = np.ones_like(x) / x.size
     xbar = float(np.dot(w, x))
     dx = x - xbar
     sxx = float(np.dot(w, dx ** 2))
     if sxx == 0.0:
         raise ParameterError("degenerate abscissa: all octaves identical")
+    for a in (x, w, dx):
+        a.setflags(write=False)
     return x, w, xbar, dx, sxx
 
 
 @lru_cache(maxsize=16)
-def _octave_design(j1: int, j2: int) -> tuple:
-    """The design of octaves j1..j2, arrays read-only."""
-    design = _ols_design(np.arange(j1, j2 + 1, dtype=np.float64))
-    for a in (design[0], design[1], design[3]):  # x, w, x - xbar
-        a.setflags(write=False)
-    return design
+def _octave_design(j1: int, j2: int, unit: float = 1.0) -> tuple:
+    """The design of octaves j1..j2, each octave j at abscissa j unit."""
+    return _ols_design(np.arange(j1, j2 + 1, dtype=np.float64) * unit)
 
 
 def _ols_fit(design: tuple, y: np.ndarray):
-    """(slope, intercept, stderr of the slope, r^2) of y on a design."""
+    """(slope, intercept, stderr of the slope, r^2) of y on a design.
+
+    Each fit keeps one 1-D np.dot per vector, since a batched fit changes
+    bits: under OpenBLAS 0.3.31 (Haswell kernel) numpy's 1-D dot of 4
+    values matched an exact fused multiply-add chain on 20,000 of 20,000
+    draws and a left-to-right sum on 12,353; the means of 15 q columns by
+    one w @ Y matched per-column dots only at 4 octaves, by a row-by-row
+    sum only at 4 and 8, where 1/n is a power of two.
+    """
     x, w, xbar, dx, sxx = design
     ybar = float(np.dot(w, y))
-    slope = float(np.dot(w, dx * (y - ybar))) / sxx
+    dy = y - ybar
+    slope = float(np.dot(w, dx * dy)) / sxx
     intercept = ybar - slope * xbar
     resid = y - (intercept + slope * x)
     n = x.size
     ss_res = float(np.dot(w, resid**2)) * n
-    ss_tot = float(np.dot(w, (y - ybar) ** 2)) * n
+    ss_tot = float(np.dot(w, dy**2)) * n
     r_squared = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
     if n > 2:
         stderr = math.sqrt(max(ss_res, 0.0) / (n - 2) / (n * sxx))
@@ -238,8 +256,9 @@ def fit_loglog(values, j1: int, j2: int) -> ScalingFit:
     if vals.shape != (j2 - j1 + 1,):
         raise ParameterError(f"values for octaves {j1}..{j2} have shape "
                              f"{vals.shape}; need ({j2 - j1 + 1},)")
-    bad = np.flatnonzero(vals <= 0)
-    if bad.size:
+    # builtin min, no numpy reduction: > 0 only if all are; a NaN passes
+    bad = () if min(vals.tolist()) > 0 else np.flatnonzero(vals <= 0)
+    if len(bad):
         raise ParameterError(
             f"nonpositive value at octave {j1 + int(bad[0])}; cannot take log2"
         )
@@ -268,17 +287,28 @@ def fit_psd_powerlaw(spectrum: SpectrumEstimate, f_min: float,
     """Fit power ~ f^-beta on a frequency band of a PSD estimate."""
     if not 0 < f_min < f_max:
         raise ParameterError(f"invalid band [{f_min}, {f_max}]")
-    mask = (spectrum.frequencies >= f_min) & (spectrum.frequencies <= f_max)
-    if int(mask.sum()) < 3:
-        raise EstimationError(
-            f"only {int(mask.sum())} PSD bins inside [{f_min}, {f_max}]; need >= 3"
-        )
-    f = spectrum.frequencies[mask]
-    p = spectrum.power[mask]
-    if np.any(p <= 0):
+    band, design = _psd_band(spectrum.frequencies.tobytes(), f_min, f_max)
+    p = spectrum.power[band]
+    if not min(p.tolist()) > 0 and (p <= 0).any():
         raise ParameterError("nonpositive power inside the fit band")
-    slope, intercept, stderr, r2 = _ols_fit(_ols_design(np.log2(f)), np.log2(p))
+    slope, intercept, stderr, r2 = _ols_fit(design, np.log2(p))
     return PsdPowerLawFit(
         beta=-slope, intercept=intercept, stderr_beta=stderr,
-        r_squared=r2, n_points=f.size, band=(f_min, f_max),
+        r_squared=r2, n_points=p.size, band=(f_min, f_max),
     )
+
+
+@lru_cache(maxsize=8)
+def _psd_band(frequencies: bytes, f_min: float, f_max: float) -> tuple:
+    """(index, design) of the bins of the float64 frequencies inside
+    [f_min, f_max], a slice when contiguous as in increasing frequencies,
+    and the OLS design on their log2; EstimationError below 3 bins."""
+    f = np.frombuffer(frequencies)
+    inside = np.flatnonzero((f >= f_min) & (f <= f_max))
+    if inside.size < 3:
+        raise EstimationError(
+            f"only {inside.size} PSD bins inside [{f_min}, {f_max}]; need >= 3"
+        )
+    if inside[-1] - inside[0] + 1 == inside.size:
+        inside = slice(int(inside[0]), int(inside[-1]) + 1)
+    return inside, _ols_design(np.log2(f[inside]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,6 +220,13 @@ class WaveletPyramid:
         """Boundary-free coefficients at octave j."""
         return self.level(j)[self.valid_slice(j)]
 
+    @cached_property
+    def _sups(self) -> tuple:
+        """Per octave, sup_k |d(j, k)| over the valid coefficients (None if
+        none), for every sup_magnitudes call on this pyramid."""
+        return tuple(float(np.maximum.reduce(np.abs(v))) if v.size else None
+                     for v in map(self.valid_values, range(1, self.max_octave + 1)))
+
 
 def max_feasible_octave(n_samples: int, wavelet: MotherWavelet) -> int:
     """Coarsest octave J such that n_samples >= support_length * 2^J."""
@@ -248,47 +256,23 @@ def dwt(signal: Signal, wavelet: MotherWavelet, max_octave: int) -> WaveletPyram
             f"{feasible} with {wavelet.name} (requested {max_octave})"
         )
 
-    lowpass = wavelet.lowpass_taps
-    highpass = wavelet.highpass_taps
-    m = wavelet.support_length
-
+    layout = _dwt_layout(n, wavelet.support_length, max_octave)
+    if len(layout) < max_octave:
+        j = len(layout) + 1
+        raise ScaleRangeError(
+            f"signal {signal.label!r}: no boundary-free coefficients at "
+            f"octave {j}; maximum feasible octave is {j - 1}"
+        )
     approx = signal.samples
-    # Contiguous range of approximation samples untouched by the boundary.
-    a_first, a_last = 0, n - 1
-
     coeffs = []
-    starts = []
-    stops = []
-    for j in range(1, max_octave + 1):
-        n_out = approx.size // 2
-        full_d = np.convolve(approx, highpass, mode="full")
-        full_a = np.convolve(approx, lowpass, mode="full")
-        # Output t depends on inputs t-m+1 .. t; keep phase t = 2k+1.
-        idx = 2 * np.arange(n_out) + 1
-        detail = full_d[idx]
-        next_approx = full_a[idx]
-
-        # Valid t range: [a_first + m - 1, a_last].
-        k_first = max(0, math.ceil((a_first + m - 2) / 2))
-        k_last = min(n_out - 1, (a_last - 1) // 2)
-        starts.append(min(k_first, n_out))
-        stops.append(max(k_last + 1, starts[-1]))
-        coeffs.append(detail * 2.0 ** (-j / 2.0))
-
-        approx = next_approx
-        a_first, a_last = k_first, k_last
-        if k_last < k_first:
-            raise ScaleRangeError(
-                f"signal {signal.label!r}: no boundary-free coefficients at "
-                f"octave {j}; maximum feasible octave is {j - 1}"
-            )
-
-    for arr in coeffs:
-        arr.setflags(write=False)
+    for phase, _, _, scale in layout:
+        coeffs.append(np.convolve(approx, wavelet.highpass_taps)[phase] * scale)
+        coeffs[-1].setflags(write=False)
+        approx = np.convolve(approx, wavelet.lowpass_taps)[phase]
     pyramid = WaveletPyramid(
         coeffs=tuple(coeffs),
-        valid_start=tuple(starts),
-        valid_stop=tuple(stops),
+        valid_start=tuple(a for _, a, _, _ in layout),
+        valid_stop=tuple(b for _, _, b, _ in layout),
         source_length=n,
         sampling_rate=signal.sampling_rate,
         wavelet=wavelet,
@@ -304,6 +288,25 @@ def dwt(signal: Signal, wavelet: MotherWavelet, max_octave: int) -> WaveletPyram
     return pyramid
 
 
+@lru_cache(maxsize=32)
+def _dwt_layout(n: int, m: int, max_octave: int) -> tuple:
+    """Per octave j from 1 of a transform of n samples with m taps: (slice
+    of the kept phase t = 2k + 1 of the full convolution, valid start, valid
+    stop, L1 rescaling 2^(-j/2)), up to max_octave or the first octave with
+    no boundary-free coefficient, which is left out."""
+    layout = []
+    a_first, a_last = 0, n - 1  # approximation samples free of the boundary
+    for j in range(1, max_octave + 1):
+        n = n // 2
+        # output t depends on inputs t-m+1 .. t: valid t in [a_first + m - 1, a_last]
+        a_first = max(0, math.ceil((a_first + m - 2) / 2))
+        a_last = min(n - 1, (a_last - 1) // 2)
+        if a_last < a_first:
+            break
+        layout.append((slice(1, 2 * n, 2), a_first, a_last + 1, 2.0 ** (-j / 2.0)))
+    return tuple(layout)
+
+
 def sup_magnitudes(pyramid: WaveletPyramid, j1: int, j2: int) -> np.ndarray:
     """Per-octave suprema of |d(j, k)| over the valid coefficients, j1..j2."""
     if not 1 <= j1 < j2 <= pyramid.max_octave:
@@ -313,16 +316,13 @@ def sup_magnitudes(pyramid: WaveletPyramid, j1: int, j2: int) -> np.ndarray:
     # Details of a constant (or low-degree polynomial) input vanish only to
     # roundoff; measure against the input amplitude, not absolute zero.
     floor = 1e-12 * pyramid.source_scale
-    sups = []
-    for j in range(j1, j2 + 1):
-        values = pyramid.valid_values(j)
-        if values.size == 0:
+    sups = pyramid._sups[j1 - 1:j2]
+    for j, sup in enumerate(sups, start=j1):
+        if sup is None:
             raise ScaleRangeError(f"no valid coefficients at octave {j}")
-        sup = float(np.max(np.abs(values)))
         if sup <= floor:
             raise DegenerateInputError(
                 f"wavelet coefficients at octave {j} vanish relative to the "
                 "signal amplitude; no resolvable fluctuations"
             )
-        sups.append(sup)
     return np.array(sups)

@@ -259,6 +259,129 @@ def ols_line(x, y):
     return slope, intercept, stderr, r_squared
 
 
+def fit_loglog_before(values, j1, j2):
+    """fit_loglog's (slope, intercept, stderr, r^2) as the library computed
+    it before its fits shared per-length designs: a full scan for values
+    <= 0, then the one-pass OLS of log2(values) on the octaves."""
+    from scalefree.errors import ParameterError
+    vals = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(vals <= 0)
+    if bad.size:
+        raise ParameterError(
+            f"nonpositive value at octave {j1 + int(bad[0])}; cannot take log2")
+    return ols_line(np.arange(j1, j2 + 1, dtype=np.float64), np.log2(vals))
+
+
+def sup_magnitudes_before(pyramid, j1, j2):
+    """sup |d(j, k)| over the valid coefficients of octaves j1..j2, one
+    np.max per octave and call."""
+    return np.array([float(np.max(np.abs(pyramid.valid_values(j))))
+                     for j in range(j1, j2 + 1)])
+
+
+def valid_leaders_before(leaders, j):
+    """The valid leaders of octave j, filtered to > 0 on every call."""
+    vals = leaders.level(j)[leaders.valid_start[j - 1]:leaders.valid_stop[j - 1]]
+    return vals[vals > 0.0]
+
+
+def dwt_before(samples, wavelet, max_octave):
+    """(coefficients, valid starts, valid stops) of dwt over octaves
+    1..max_octave, as dwt computed them per call: each octave's kept phase
+    by a fancy index of the full convolutions, its validity range by
+    propagating the boundary-free approximation samples."""
+    coeffs, starts, stops = [], [], []
+    approx, a_first, a_last, m = samples, 0, samples.size - 1, wavelet.support_length
+    for j in range(1, max_octave + 1):
+        n_out = approx.size // 2
+        idx = 2 * np.arange(n_out) + 1
+        coeffs.append(np.convolve(approx, wavelet.highpass_taps)[idx]
+                      * 2.0 ** (-j / 2.0))
+        approx = np.convolve(approx, wavelet.lowpass_taps)[idx]
+        a_first = max(0, math.ceil((a_first + m - 2) / 2))
+        a_last = min(n_out - 1, (a_last - 1) // 2)
+        starts.append(min(a_first, n_out))
+        stops.append(max(a_last + 1, starts[-1]))
+    return coeffs, starts, stops
+
+
+def welch_beta_before(samples, fs, config):
+    """analyze_series's Welch cross-check as welch_psd and fit_psd_powerlaw
+    computed it before per-length plans: sliding_window_view segments,
+    np.mean, rfftfreq on every call and a boolean band mask; NaN where the
+    segmentation or the band is too thin."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    from scalefree.scaling import (_psd_window, default_segment_length,
+                                   scale_to_frequency)
+    n = samples.size
+    length = config.welch_segment_length or default_segment_length(n)
+    step = length - int(config.welch_overlap * length)
+    n_segments = 1 + (n - length) // step
+    if n_segments < 2:
+        return math.nan
+    segments = sliding_window_view(samples, length)[::step][:n_segments]
+    segments = segments - np.mean(segments, axis=-1, keepdims=True)
+    spectra = np.fft.rfft(segments * _psd_window(config.welch_window, length, fs),
+                          axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    power[:, 1:None if length % 2 else -1] *= 2
+    power = np.ascontiguousarray(power.T).mean(axis=-1)[1:]
+    f = np.fft.rfftfreq(length, 1 / fs)[1:]
+    j1, j2 = config.octave_range
+    mask = ((f >= scale_to_frequency(j2, fs))
+            & (f <= scale_to_frequency(j1, fs)))
+    if int(mask.sum()) < 3 or np.any(power[mask] <= 0):
+        return math.nan
+    return -ols_line(np.log2(f[mask]), np.log2(power[mask]))[0]
+
+
+def analyze_series_before(signal, config):
+    """{field: value} of analyze_series(signal, config) composed from the
+    oracles above, computing every per-length and per-series value afresh
+    and fitting each q column and cumulant with its own one-pass OLS; the
+    k-statistics come from scipy.stats.kstat.  dwt, compute_leaders,
+    select_gamma and legendre_spectrum are the library's."""
+    from scipy.stats import kstat
+    from scalefree.leaders_mf import (compute_leaders, legendre_spectrum,
+                                      select_gamma)
+    from scalefree.wavelet import build_wavelet, dwt
+    j1, j2 = config.octave_range
+    pyramid = dwt(signal, build_wavelet(config.n_vanishing), j2)
+    power = np.array([np.mean(pyramid.valid_values(j) ** 2)
+                      for j in range(1, j2 + 1)])
+    fit = fit_loglog_before(power[j1 - 1:j2], j1, j2)
+    beta = fit[0] + 1.0
+    hurst = (beta + 1.0) / 2.0
+    shift = 1 if hurst < 1.0 else 0
+    h_min = fit_loglog_before(sup_magnitudes_before(pyramid, j1, j2), j1, j2)[0]
+    gamma = select_gamma(h_min, config.gamma_mode, config.gamma_value,
+                         config.gamma_eps)
+    leaders = compute_leaders(pyramid, gamma)
+    valid = [valid_leaders_before(leaders, j) for j in range(j1, j2 + 1)]
+    q = np.asarray(config.q_grid, dtype=np.float64)
+    rows = np.vstack([np.mean(v[:, None] ** q[None, :], axis=0) for v in valid])
+    zeta_fits = [fit_loglog_before(column, j1, j2) for column in rows.T]
+    zeta = np.column_stack([q, [f[0] for f in zeta_fits] - (gamma - shift) * q])
+    cum = np.array([[kstat(np.log(v), p) for p in range(1, config.p_max + 1)]
+                    for v in valid])
+    x = np.arange(j1, j2 + 1, dtype=np.float64) * math.log(2.0)
+    cum_fits = [ols_line(x, cum[:, p]) for p in range(config.p_max)]
+    return {
+        "beta": beta, "hurst": hurst, "stationary": hurst < 1.0,
+        "h_min": h_min, "gamma": gamma, "reference_shift": shift,
+        "c1": cum_fits[0][0] - gamma + shift, "c2": cum_fits[1][0],
+        "zeta": zeta, "spectrum": legendre_spectrum(zeta),
+        "spectrum_fit": fit,
+        "spectrum_rows": tuple((j, float(logp), fit[0] * j + fit[1])
+                               for j, logp in enumerate(np.log2(power), 1)),
+        "zeta_r_squared": np.array([f[3] for f in zeta_fits]),
+        "cumulant_r_squared": np.array([f[3] for f in cum_fits]),
+        "leader_counts": np.array([v.size for v in valid]),
+        "welch_beta": welch_beta_before(signal.samples, signal.sampling_rate,
+                                        config),
+    }
+
+
 def battery_rows_by_hand(table):
     """Every row of run_battery(table).to_rows(), in its order, built from
     the per-cell subject means, the public tests and bonferroni: one-sample

@@ -18,7 +18,7 @@ from scalefree.synth import GeneratorSpec, gen_fbm, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, WaveletPyramid, build_wavelet, dwt
 
 from oracles import assert_leaders_match_oracle as assert_matches_oracle
-from oracles import legendre_by_outer_product
+from oracles import legendre_by_outer_product, valid_leaders_before
 
 
 def make_pyramid(coeff_arrays, wavelet, source_length=None):
@@ -164,6 +164,21 @@ class TestComputeLeaders:
                     if (leaders.valid_start[j - 1] <= c
                             < leaders.valid_stop[j - 1]):
                         assert parent[k] >= child[c]
+
+    def test_valid_values_filtered_once_and_read_only(self, db3):
+        """Each octave's valid, positive leaders are filtered once per
+        pyramid, equal the per-call filter and cannot be written."""
+        x = gen_fgn(GeneratorSpec("fgn", 0.6, 2048, seed=4)).samples
+        x[512:1024] = 0.0  # leaders inside a silent stretch are exactly zero
+        leaders = compute_leaders(dwt(Signal(x, 1.0), db3, 7), 0.0)
+        span = leaders.valid_stop[0] - leaders.valid_start[0]
+        assert leaders.valid_values(1).size < span
+        for j in range(1, leaders.max_octave + 1):
+            valid = leaders.valid_values(j)
+            assert leaders.valid_values(j) is valid
+            assert valid.tobytes() == valid_leaders_before(leaders, j).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                valid[0] = 1.0
 
     def test_negative_gamma_rejected(self, db3):
         p = dwt(gen_fgn(GeneratorSpec("fgn", 0.5, 512, seed=0)), db3, 4)

@@ -26,13 +26,15 @@ from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
                                 analyze_series, load_dataset,
                                 load_estimates_csv, load_taxonomy,
                                 run_full_analysis, synthetic_taxonomy)
-from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw
+from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw, generate
 from scalefree.scaling import welch_psd
 from scalefree.wavelet import Signal, build_wavelet, dwt
 
-from oracles import csv_outputs_by_csv_writer
+from oracles import analyze_series_before, csv_outputs_by_csv_writer
 
 SMALL_SYNTH = {"subjects": 4, "length": 1024, "maps": {"F": 3, "A": 2, "U": 1}}
+DEGENERATE = ("{label}: wavelet coefficients at octave {octave} vanish relative "
+              "to the signal amplitude; no resolvable fluctuations")
 
 
 def write_fixture_dataset(root: Path, n_subjects=2, n_maps=3, n=64, seed=0,
@@ -60,11 +62,36 @@ def write_fixture_dataset(root: Path, n_subjects=2, n_maps=3, n=64, seed=0,
     return {"subjects": subjects, "taxonomy": str(tax)}
 
 
-def flatten_map(path: Path, column: int):
+def synthetic_study_as_files(config: AnalysisConfig, root: Path,
+                             ids=None) -> dict:
+    """The inputs section that reads a synthetic study back: its taxonomy
+    CSV and its runs as %.17g run CSVs under root, subject s under ids[s]
+    when ids are given, else under its synthetic id."""
+    dataset = pipeline._build_dataset(config)
+    taxonomy = dataset.taxonomy
+    tax = root / "taxonomy.csv"
+    tax.write_text("map_index,class,network_or_artifact\n" + "".join(
+        f"{k},{cls},{tag}\n" for k, (cls, tag)
+        in enumerate(zip(taxonomy.classes, taxonomy.tags), start=1)))
+    subjects = []
+    for s, sid in enumerate(dataset.subjects):
+        entry = {"id": ids[s] if ids else sid}
+        for state in ("rest", "task"):
+            matrix = dataset.runs[sid, state].matrix(config)
+            entry[state] = str(root / f"{sid}_{state}.csv")
+            np.savetxt(entry[state], np.column_stack(
+                [np.arange(len(matrix)), matrix]), fmt="%.17g",
+                delimiter=",", comments="", header="t," + ",".join(
+                    f"map_{k}" for k in range(1, matrix.shape[1] + 1)))
+        subjects.append(entry)
+    return {"taxonomy": str(tax), "subjects": subjects}
+
+
+def flatten_map(path: Path, column: int, value: str = "5.0"):
     """Overwrite one map column of a run CSV with a constant."""
     rows = [r.split(",") for r in path.read_text().splitlines()]
     for r in rows[1:]:
-        r[column] = "5.0"
+        r[column] = value
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
 
 
@@ -790,7 +817,72 @@ def affine_series(i: int) -> np.ndarray:
     return np.diff(walk.samples, prepend=0.0)
 
 
+# Octave ranges of 3 to 11 octaves per length, each feasible at it: at 3,
+# 5, 6, 7 and 11 octaves 1/n is inexact, where a fit whose sums are
+# reordered (a batched w @ Y, say) gives other bits.
+PARITY_RANGES = {2048: [(2, 4), (3, 6), (3, 7), (2, 7)],
+                 3000: [(3, 5), (3, 6), (1, 7), (2, 7)],
+                 2**16: [(3, 10), (4, 10), (2, 12), (3, 7)]}
+
+
+def parity_series(kind: str, length: int, seed: int) -> Signal:
+    """An fGn, or the increments of an MRW or fBm walk, of length samples
+    (the head of a power-of-two draw)."""
+    n = 1 << (length - 1).bit_length()
+    samples = generate(GeneratorSpec(kind, 0.7, n, seed=seed,
+                                     lambda2=0.05 if kind == "mrw" else 0.0)).samples
+    if kind != "fgn":
+        samples = np.diff(samples, prepend=0.0)
+    return Signal(samples[:length], 1.0, label=f"{kind}/{length}")
+
+
 class TestAnalyzeSeries:
+    @given(kind=st.sampled_from(["fgn", "mrw", "fbm"]),
+           length=st.sampled_from(sorted(PARITY_RANGES)),
+           pick=st.integers(0, 3),
+           gamma=st.sampled_from([("fixed", 0.0), ("fixed", 2.0),
+                                  ("auto", 2.0)]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fields_equal_the_formulas_before(self, kind, length, pick, gamma,
+                                              seed):
+        """Every field of analyze_series has the bits of the oracle that
+        computes each value afresh, fits each q column and cumulant with
+        its own one-pass OLS and scans each positivity check in full (its
+        pyramid is dwt's, which test_wavelet checks against dwt_before)."""
+        j1, j2 = PARITY_RANGES[length][pick]
+        cfg = AnalysisConfig(synthetic={}, octave_range=(j1, j2),
+                             gamma_mode=gamma[0], gamma_value=gamma[1])
+        sig = parity_series(kind, length, seed)
+        est = analyze_series(sig, cfg)
+        expected = analyze_series_before(sig, cfg)
+
+        def bits(value):
+            return np.asarray(value, dtype=np.float64).tobytes()
+
+        for name in ("beta", "hurst", "h_min", "gamma", "c1", "c2", "zeta",
+                     "spectrum"):
+            assert bits(getattr(est, name)) == bits(expected[name]), name
+        assert est.stationary == expected["stationary"]
+        assert est.reference_shift == expected["reference_shift"]
+        diag = est.diagnostics
+        fit = diag["spectrum_fit"]
+        assert bits([fit.slope, fit.intercept, fit.stderr_slope,
+                     fit.r_squared]) == bits(expected["spectrum_fit"])
+        assert repr(diag["spectrum_rows"]) == repr(expected["spectrum_rows"])
+        for name in ("zeta_r_squared", "cumulant_r_squared", "welch_beta"):
+            assert bits(diag[name]) == bits(expected[name]), name
+        assert np.array_equal(diag["leader_counts"], expected["leader_counts"])
+
+    @pytest.mark.parametrize("samples", [np.zeros(2048), np.full(2048, -0.0),
+                                         np.full(2048, 3.3)])
+    def test_degenerate_gate_comes_before_the_spectrum_fit(self, samples):
+        """An all-zero or constant series fails at the degenerate-input
+        gate, not at the spectrum fit's log2 of a zero power."""
+        with pytest.raises(DegenerateInputError) as err:
+            analyze_series(Signal(samples, 1.0, "s/x"), AnalysisConfig(synthetic={}))
+        assert str(err.value) == DEGENERATE.format(label="s/x", octave=3)
+
     def test_fgn_fixture(self):
         cfg = AnalysisConfig(synthetic={})
         sig = gen_fgn(GeneratorSpec("fgn", 0.7, 4096, seed=123))
@@ -1010,25 +1102,28 @@ class TestRunFullAnalysis:
     def _check_partial_failure_isolation(tmp_path, workers):
         inputs = write_fixture_dataset(tmp_path, n_subjects=4, n_maps=3,
                                        n=512, seed=5)
-        # flatten one map of one subject; that series alone must fail
+        # flatten one map of one subject's rest run to a constant and
+        # another of its task run to zeros; those series alone must fail,
+        # at the degenerate-input gate
         flatten_map(Path(inputs["subjects"][1]["rest"]), 2)
+        flatten_map(Path(inputs["subjects"][1]["task"]), 3, "0")
         cfg = AnalysisConfig(inputs=inputs, octave_range=(2, 5),
                              output_dir=str(tmp_path / "out"), seed=0,
                              workers=workers)
         report = run_full_analysis(cfg)
         assert report.provenance["n_series"] == 24
-        assert report.provenance["n_failures"] == 1
-        assert len(report.failures) == 1
-        key = next(iter(report.failures))
-        assert key[0] == "sub1" and key[2] == "rest"
-        assert "Degenerate" in report.failures[key]
+        assert report.provenance["n_failures"] == 2
+        assert report.failures == {
+            key: "DegenerateInputError: " + DEGENERATE.format(
+                label="/".join(key), octave=2)
+            for key in (("sub1", "a_1", "rest"), ("sub1", "u_1", "task"))}
         assert report.dropped_subjects == ("sub1",)
         # remaining three subjects still feed the battery
         assert report.table is not None
         assert report.table.n_subjects == 3
         rows = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
         error_rows = [r for r in rows if ",error," in r]
-        assert len(error_rows) == 1 and "sub1" in error_rows[0]
+        assert len(error_rows) == 2 and all("sub1" in r for r in error_rows)
 
     def test_spectra_and_dh_match_csv_writer(self, tmp_path):
         """Every CSV output equals a csv.writer rendering with "%.17g"
@@ -1081,23 +1176,7 @@ class TestRunFullAnalysis:
         synthetic = AnalysisConfig(synthetic=SMALL_SYNTH, seed=3,
                                    output_dir=str(tmp_path / "synthetic"))
         run_full_analysis(synthetic)
-        dataset = pipeline._build_dataset(synthetic)
-        taxonomy = synthetic_taxonomy(3, 2, 1)
-        tax = tmp_path / "taxonomy.csv"
-        tax.write_text("map_index,class,network_or_artifact\n" + "".join(
-            f"{k},{cls},{tag}\n" for k, (cls, tag)
-            in enumerate(zip(taxonomy.classes, taxonomy.tags), start=1)))
-        subjects = []
-        for sid in dataset.subjects:
-            entry = {"id": sid}
-            for state in ("rest", "task"):
-                matrix = dataset.runs[sid, state].matrix(synthetic)
-                entry[state] = str(tmp_path / f"{sid}_{state}.csv")
-                np.savetxt(entry[state], np.column_stack(
-                    [np.arange(len(matrix)), matrix]), fmt="%.17g",
-                    delimiter=",", comments="", header="t," + ",".join(
-                        f"map_{k}" for k in range(1, matrix.shape[1] + 1)))
-            subjects.append(entry)
+        inputs = synthetic_study_as_files(synthetic, tmp_path)
 
         def report(out):
             doc = json.loads((out / "group_report.json").read_text())
@@ -1108,13 +1187,41 @@ class TestRunFullAnalysis:
         for workers in (1, 2):
             out = tmp_path / f"files_w{workers}"
             run_full_analysis(AnalysisConfig(
-                inputs={"taxonomy": str(tax), "subjects": subjects},
-                output_dir=str(out), workers=workers))
+                inputs=inputs, output_dir=str(out), workers=workers))
             for name in ("estimates.csv", "spectra.csv", "dh_curves.csv",
                          "pvalues.csv"):
                 assert ((out / name).read_bytes()
                         == (expected / name).read_bytes()), (workers, name)
             assert report(out) == report(expected), workers
+
+    def test_synthetic_study_read_back_under_quoted_ids(self, tmp_path):
+        """The same round trip under file-study ids that need CSV quoting:
+        with 1 and 2 workers, the per-series rows equal the synthetic
+        study's once the subject column is mapped back, and the p-values
+        are byte-identical."""
+        synthetic = AnalysisConfig(
+            synthetic={"subjects": 3, "length": 1024,
+                       "maps": {"F": 3, "A": 2, "U": 1}},
+            seed=4, output_dir=str(tmp_path / "synthetic"))
+        run_full_analysis(synthetic)
+        back = {"b,1": "s01", 'q"2': "s02", "x%3": "s03"}
+        inputs = synthetic_study_as_files(synthetic, tmp_path, tuple(back))
+        expected = tmp_path / "synthetic"
+        for workers in (1, 2):
+            out = tmp_path / f"files_w{workers}"
+            run_full_analysis(AnalysisConfig(
+                inputs=inputs, output_dir=str(out), workers=workers))
+            assert ((out / "pvalues.csv").read_bytes()
+                    == (expected / "pvalues.csv").read_bytes()), workers
+            for name in ("estimates.csv", "spectra.csv", "dh_curves.csv"):
+                tables = []
+                for root in (out, expected):
+                    with open(root / name, newline="") as fh:
+                        tables.append(list(csv.reader(fh)))
+                quoted, rows = tables
+                assert {row[0] for row in quoted[1:]} == set(back), name
+                assert [[back.get(row[0], row[0])] + row[1:]
+                         for row in quoted] == rows, (workers, name)
 
     @pytest.mark.parametrize("study", ["synthetic", "files"])
     def test_rerun_of_resolved_config_is_byte_identical(self, tmp_path,

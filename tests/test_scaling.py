@@ -11,9 +11,10 @@ from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from scalefree.errors import EstimationError, ParameterError, ScaleRangeError
-from scalefree.pipeline import AnalysisConfig, _spectrum_rows, run_full_analysis
+from scalefree.pipeline import (AnalysisConfig, _spectrum_rows,
+                                _welch_beta_crosscheck, run_full_analysis)
 from scalefree.scaling import (ScalingFit, SpectrumEstimate, _octave_design,
-                               _ols_design, _ols_fit, _psd_window,
+                               _ols_design, _ols_fit, _psd_window, _welch_plan,
                                default_segment_length, estimate_hurst,
                                fit_loglog, fit_psd_powerlaw,
                                scale_to_frequency, welch_psd,
@@ -21,7 +22,7 @@ from scalefree.scaling import (ScalingFit, SpectrumEstimate, _octave_design,
 from scalefree.synth import GeneratorSpec, gen_fgn
 from scalefree.wavelet import Signal, dwt
 
-from oracles import ols_line
+from oracles import fit_loglog_before, ols_line, welch_beta_before
 
 
 # numpy 2's FFT is the C++ pocketfft that scipy.fft runs; numpy 1.x has the
@@ -86,6 +87,27 @@ class TestFitLoglog:
                            match="nonpositive value at octave 4; cannot take log2"):
             fit_loglog([1.0, 1.0, 0.0, 1.0], 2, 5)
 
+    @pytest.mark.parametrize("values, octave", [
+        ([1.0, -0.0, 1.0, 1.0], 3),
+        ([2.0, 1.0, 1.0, -1e-300], 5), ([-3.0, 0.0, 1.0, 1.0], 2),
+        # NaN passes, so a NaN before or after the 0 leaves it reported
+        ([math.nan, 0.0, 1.0, 1.0], 3), ([1.0, math.nan, 1.0, 0.0], 5),
+        ([0.0, math.nan, 1.0, 1.0], 2)])
+    def test_nonpositive_value_names_first_such_octave(self, values, octave):
+        with pytest.raises(ParameterError, match=(
+                f"nonpositive value at octave {octave}; cannot take log2")):
+            fit_loglog(values, 2, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_and_inf_pass_the_positivity_check(self, bad):
+        for k in range(4):
+            values = [1.0, 2.0, 4.0, 8.0]
+            values[k] = bad
+            with np.errstate(invalid="ignore"):
+                fit = fit_loglog(values, 2, 5)
+                assert repr((fit.slope, fit.intercept, fit.stderr_slope,
+                             fit.r_squared)) == repr(fit_loglog_before(values, 2, 5))
+
     def test_wrong_length(self):
         # values are positional: a missing or extra octave is a shape error
         for values in ([1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 4], np.ones((4, 1))):
@@ -106,12 +128,12 @@ class TestFitLoglog:
         # repr tells apart -0.0 and 0.0 and matches nan with nan
         assert repr(_ols_fit(_ols_design(x), y)) == repr(ols_line(x, y))
 
-    @given(j1=st.integers(1, 8), width=st.integers(2, 9),
+    @given(j1=st.integers(1, 8), width=st.integers(2, 11),
            seed=st.integers(0, 2**32 - 1), cleared=st.booleans())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_equals_one_pass_oracle(self, j1, width, seed, cleared):
         """Memoised designs, on a hit and after cache_clear, give the fit
-        of the one-pass OLS bit for bit."""
+        of the one-pass OLS bit for bit, over 3 to 12 octaves."""
         j2 = j1 + width
         rng = np.random.default_rng(seed)
         values = rng.lognormal(0.0, 3.0, width + 1)
@@ -157,6 +179,37 @@ class TestEstimateHurst:
 
 
 class TestWelch:
+    @given(n=st.integers(64, 20_000), fraction=st.floats(0.0, 0.5),
+           overlap=st.floats(0.0, 0.99), fs=st.floats(1e-2, 1e3),
+           window=st.sampled_from(["hann", "rect"]), j1=st.integers(1, 4),
+           width=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_crosscheck_equals_the_formulas_before(self, n, fraction, overlap,
+                                                   fs, window, j1, width, seed):
+        """analyze_series's Welch beta, from per-length plans and band
+        slices, has the bits of the oracle that segments, averages, masks
+        and fits afresh on every call (NaN where either finds no fit)."""
+        cfg = AnalysisConfig(synthetic={}, octave_range=(j1, j1 + width),
+                             welch_segment_length=max(8, int(fraction * n)),
+                             welch_overlap=overlap, welch_window=window,
+                             sampling_rate=fs)
+        x = np.random.default_rng(seed).standard_normal(n)
+        for _ in range(2):  # the plans built, then memoised
+            beta = _welch_beta_crosscheck(Signal(x, fs), cfg)
+            assert (np.float64(beta).tobytes()
+                    == np.float64(welch_beta_before(x, fs, cfg)).tobytes())
+
+    def test_band_with_a_gap_is_fitted_on_its_bins(self):
+        """Frequencies that skip a NaN make a band of non-contiguous bins:
+        the fit takes exactly those, as a boolean mask would."""
+        f = np.array([0.1, 0.2, math.nan, 0.3, 0.4, 0.5])
+        p = np.array([9.0, 5.0, 1.0, 3.0, 2.5, 2.0])
+        fit = fit_psd_powerlaw(SpectrumEstimate(f, p), 0.15, 0.45)
+        mask = (f >= 0.15) & (f <= 0.45)
+        assert fit.n_points == 3
+        assert repr(fit.beta) == repr(-ols_line(np.log2(f[mask]),
+                                                 np.log2(p[mask]))[0])
+
     def test_sinusoid_peak_at_f0(self):
         fs, f0, n = 100.0, 12.5, 4096
         t = np.arange(n) / fs
@@ -202,10 +255,13 @@ class TestWelch:
                 welch_psd(sig, segment_length=segment_length)
 
     def test_memoised_window_is_read_only(self):
-        win = _psd_window("hann", 64, 2.0)
-        assert _psd_window("hann", 64, 2.0) is win
-        with pytest.raises(ValueError):
-            win[0] = 1.0
+        step, n_segments, win, freqs = _welch_plan(1000, 64, 0.5, "hann", 2.0)
+        assert (step, n_segments) == (32, 30)
+        again = _welch_plan(1000, 64, 0.5, "hann", 2.0)
+        assert again[2] is win and again[3] is freqs
+        for a in (win, freqs):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
     def test_windows_equal_get_window(self):
         # every length the settings allow up to 4096, odd ones included

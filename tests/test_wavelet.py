@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scalefree.errors import ParameterError, ScaleRangeError
-from scalefree.wavelet import (Signal, build_wavelet, dwt, max_feasible_octave,
-                               sup_magnitudes)
+from scalefree.wavelet import (Signal, WaveletPyramid, build_wavelet, dwt,
+                               max_feasible_octave, sup_magnitudes)
 
-from oracles import direct_detail_octave1, dwt_periodic_level
+from oracles import (direct_detail_octave1, dwt_before, dwt_periodic_level,
+                     sup_magnitudes_before)
 
 
 class TestSignal:
@@ -112,6 +115,22 @@ class TestDwt:
         assert np.allclose(p.level(1), ref, atol=1e-14)
         assert (p.valid_start[0], p.valid_stop[0]) == (first, stop)
 
+    @given(n=st.integers(2, 5000), n_vanishing=st.integers(1, 4),
+           octaves=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_formulas_before(self, n, n_vanishing, octaves, seed):
+        """Memoised per-length slices and validity ranges give the bits and
+        ranges of the per-call fancy index and range propagation."""
+        w = build_wavelet(n_vanishing)
+        max_octave = min(octaves, max_feasible_octave(n, w))
+        assume(max_octave >= 1)
+        x = np.random.default_rng(seed).standard_normal(n)
+        coeffs, starts, stops = dwt_before(x, w, max_octave)
+        for _ in range(2):  # the layout built, then memoised
+            p = dwt(Signal(x, 1.0), w, max_octave)
+            assert [c.tobytes() for c in p.coeffs] == [c.tobytes() for c in coeffs]
+            assert (p.valid_start, p.valid_stop) == (tuple(starts), tuple(stops))
+
     def test_n_valid_counts(self, db3):
         p = dwt(Signal(np.random.default_rng(1).standard_normal(1024),
                        1.0, "x"), db3, 6)
@@ -146,6 +165,19 @@ class TestDwt:
             energy += float(np.sum(detail**2))
         energy += float(np.sum(approx**2))
         assert abs(energy - np.sum(x**2)) <= 1e-8 * np.sum(x**2)
+
+    def test_sup_magnitudes_read_each_octave_once(self, db3, monkeypatch):
+        """The suprema are taken once per pyramid, for every range asked."""
+        p = dwt(Signal(np.random.default_rng(2).standard_normal(1024), 1.0), db3, 6)
+        expected = sup_magnitudes_before(p, 1, 6)
+        reads = []
+        real = WaveletPyramid.valid_values
+        monkeypatch.setattr(WaveletPyramid, "valid_values",
+                            lambda self, j: reads.append(j) or real(self, j))
+        for j1, j2 in ((3, 6), (3, 6), (1, 4)):
+            assert (sup_magnitudes(p, j1, j2).tobytes()
+                    == expected[j1 - 1:j2].tobytes())
+        assert reads == [1, 2, 3, 4, 5, 6]
 
     def test_sup_magnitudes_degenerate(self, db3):
         from scalefree.errors import DegenerateInputError
