@@ -509,8 +509,7 @@ def analyze_series(signal: Signal, config: AnalysisConfig) -> MfEstimate:
     try:
         _require_feasible(len(signal), config)
         pyramid = dwt(signal, _wavelet(config.n_vanishing), j2)
-        # the degenerate-input gate; global_regularity reuses its suprema
-        sup_magnitudes(pyramid, j1, j2)
+        sup_magnitudes(pyramid, j1, j2)  # degenerate-input gate
 
         fit, rows = _spectrum_rows(pyramid, j1, j2)
         hurst = estimate_hurst(fit)
@@ -521,11 +520,14 @@ def analyze_series(signal: Signal, config: AnalysisConfig) -> MfEstimate:
             gamma_eps=config.gamma_eps, p_max=config.p_max,
             reference_shift=shift,
         )
-        diagnostics = {**estimate.diagnostics, "spectrum_fit": fit,
-                       "spectrum_rows": rows,
-                       "welch_beta": _welch_beta_crosscheck(signal, config)}
-        return replace(estimate, beta=hurst.beta, hurst=hurst.hurst,
-                       stationary=hurst.stationary, diagnostics=diagnostics)
+        diagnostics = dict(estimate.diagnostics)
+        diagnostics["spectrum_fit"] = fit
+        diagnostics["spectrum_rows"] = rows
+        diagnostics["welch_beta"] = _welch_beta_crosscheck(signal, config)
+        return replace(
+            estimate, beta=hurst.beta, hurst=hurst.hurst,
+            stationary=hurst.stationary, diagnostics=diagnostics,
+        )
     except ScaleFreeError as exc:
         if signal.label and signal.label not in str(exc):
             raise type(exc)(f"{signal.label}: {exc}") from exc

@@ -121,9 +121,8 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
 @lru_cache(maxsize=8)
 def _welch_plan(n: int, segment_length: int, overlap_fraction: float,
                 window: str, fs: float) -> tuple:
-    """(step, n_segments, window, frequencies without DC) of welch_psd on
-    n samples at rate fs, arrays read-only; EstimationError below 2
-    segments."""
+    """(step, n_segments, window, frequencies but DC) of welch_psd on n
+    samples at rate fs, read-only; EstimationError below 2 segments."""
     step = segment_length - int(overlap_fraction * segment_length)
     n_segments = 1 + (n - segment_length) // step
     if n_segments < 2:
@@ -300,15 +299,12 @@ def fit_psd_powerlaw(spectrum: SpectrumEstimate, f_min: float,
 
 @lru_cache(maxsize=8)
 def _psd_band(frequencies: bytes, f_min: float, f_max: float) -> tuple:
-    """(index, design) of the bins of the float64 frequencies inside
-    [f_min, f_max], a slice when contiguous as in increasing frequencies,
-    and the OLS design on their log2; EstimationError below 3 bins."""
+    """Indices of the float64 frequencies inside [f_min, f_max] and the OLS
+    design on their log2; EstimationError below 3 bins."""
     f = np.frombuffer(frequencies)
     inside = np.flatnonzero((f >= f_min) & (f <= f_max))
     if inside.size < 3:
         raise EstimationError(
             f"only {inside.size} PSD bins inside [{f_min}, {f_max}]; need >= 3"
         )
-    if inside[-1] - inside[0] + 1 == inside.size:
-        inside = slice(int(inside[0]), int(inside[-1]) + 1)
     return inside, _ols_design(np.log2(f[inside]))

@@ -221,11 +221,9 @@ class WaveletPyramid:
         return self.level(j)[self.valid_slice(j)]
 
     @cached_property
-    def _sups(self) -> tuple:
-        """Per octave, sup_k |d(j, k)| over the valid coefficients (None if
-        none), for every sup_magnitudes call on this pyramid."""
-        return tuple(float(np.maximum.reduce(np.abs(v))) if v.size else None
-                     for v in map(self.valid_values, range(1, self.max_octave + 1)))
+    def _sups(self) -> dict:
+        """sup_magnitudes' memo: octave -> sup_k |d(j, k)| over valid k."""
+        return {}
 
 
 def max_feasible_octave(n_samples: int, wavelet: MotherWavelet) -> int:
@@ -316,13 +314,19 @@ def sup_magnitudes(pyramid: WaveletPyramid, j1: int, j2: int) -> np.ndarray:
     # Details of a constant (or low-degree polynomial) input vanish only to
     # roundoff; measure against the input amplitude, not absolute zero.
     floor = 1e-12 * pyramid.source_scale
-    sups = pyramid._sups[j1 - 1:j2]
-    for j, sup in enumerate(sups, start=j1):
-        if sup is None:
-            raise ScaleRangeError(f"no valid coefficients at octave {j}")
+    memo = pyramid._sups  # each octave's supremum taken once per pyramid
+    sups = []
+    for j in range(j1, j2 + 1):
+        if j not in memo:
+            values = pyramid.valid_values(j)
+            if values.size == 0:
+                raise ScaleRangeError(f"no valid coefficients at octave {j}")
+            memo[j] = float(np.maximum.reduce(np.abs(values)))
+        sup = memo[j]
         if sup <= floor:
             raise DegenerateInputError(
                 f"wavelet coefficients at octave {j} vanish relative to the "
                 "signal amplitude; no resolvable fluctuations"
             )
+        sups.append(sup)
     return np.array(sups)

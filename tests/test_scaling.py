@@ -199,17 +199,6 @@ class TestWelch:
             assert (np.float64(beta).tobytes()
                     == np.float64(welch_beta_before(x, fs, cfg)).tobytes())
 
-    def test_band_with_a_gap_is_fitted_on_its_bins(self):
-        """Frequencies that skip a NaN make a band of non-contiguous bins:
-        the fit takes exactly those, as a boolean mask would."""
-        f = np.array([0.1, 0.2, math.nan, 0.3, 0.4, 0.5])
-        p = np.array([9.0, 5.0, 1.0, 3.0, 2.5, 2.0])
-        fit = fit_psd_powerlaw(SpectrumEstimate(f, p), 0.15, 0.45)
-        mask = (f >= 0.15) & (f <= 0.45)
-        assert fit.n_points == 3
-        assert repr(fit.beta) == repr(-ols_line(np.log2(f[mask]),
-                                                 np.log2(p[mask]))[0])
-
     def test_sinusoid_peak_at_f0(self):
         fs, f0, n = 100.0, 12.5, 4096
         t = np.arange(n) / fs
