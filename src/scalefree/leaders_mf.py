@@ -31,7 +31,6 @@ from .wavelet import WaveletPyramid, sup_magnitudes
 DEFAULT_Q_GRID = (-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, -0.25, 0.0,
                   0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 MIN_CUMULANT_COUNT = 8
-MAX_P = 4
 LEGENDRE_GRID_SIZE = 513
 LEGENDRE_MARGIN = 0.1
 
@@ -204,35 +203,32 @@ def _zeta(q: np.ndarray, rows: np.ndarray, j1: int, j2: int,
     return fits, np.column_stack([q, [f.slope for f in fits] - offset * q])
 
 
-def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
-    """Log-cumulant exponents c_p from per-octave cumulants of ln L.
+def log_cumulants(leaders: LeaderPyramid, j1: int, j2: int):
+    """Log-cumulant exponents c1 and c2 from per-octave cumulants of ln L.
 
     Per octave, unbiased sample cumulants (k-statistics) of ln L(j, .) are
-    regressed against ln 2^j by OLS; the gamma correction applies to c_1
+    regressed against ln 2^j by OLS; the gamma correction applies to c1
     only.  The k-statistics come from power sums by the formulas of
     scipy.stats' k-statistic function and are bitwise equal to it.  Returns
-    (c_p array ordered p = 1..p_max, diagnostics dict with per-p r_squared
-    and per-octave counts).
+    (the array [c1, c2], diagnostics dict with their r_squared and the
+    per-octave counts).
 
     Raises:
         ScaleRangeError: some octave in range has fewer than 8 valid
             leaders; the message proposes the largest workable j2.
     """
-    if not 1 <= p_max <= MAX_P:
-        raise ParameterError(f"p_max={p_max} outside 1..{MAX_P}")
     if not 1 <= j1 < j2 <= leaders.max_octave:
         raise ScaleRangeError(
             f"octave range ({j1}, {j2}) outside available 1..{leaders.max_octave}"
         )
     valid = leaders._valid[j1 - 1:j2]
     _require_cumulant_counts([v.size for v in valid], j1)
-    cum = np.array([_k_statistics(np.log(v), p_max)
-                    for v in valid])  # (n_octaves, p_max)
+    cum = np.array([_k_statistics(np.log(v)) for v in valid])  # (n_octaves, 2)
 
     design = _octave_design(j1, j2, math.log(2.0))  # on ln 2^j
-    c_p = np.empty(p_max)
-    r2 = np.empty(p_max)
-    for p in range(p_max):
+    c_p = np.empty(2)
+    r2 = np.empty(2)
+    for p in range(2):
         slope, _, _, rsq = _ols_fit(design, cum[:, p])
         c_p[p] = slope
         r2[p] = rsq
@@ -244,19 +240,14 @@ def log_cumulants(leaders: LeaderPyramid, p_max: int, j1: int, j2: int):
     return c_p, diagnostics
 
 
-def _k_statistics(x: np.ndarray, p_max: int) -> tuple:
-    """k-statistics k_1..k_p_max of x from the power sums S_r = sum(x**r) by
-    the formulas of scipy.stats' k-statistic function, in its operation
-    order, so each equals it bitwise (centred moments round differently)."""
+def _k_statistics(x: np.ndarray) -> tuple:
+    """k-statistics (k1, k2) of x from the power sums S_r = sum(x**r) by the
+    formulas of scipy.stats' k-statistic function, in its operation order,
+    so each equals it bitwise (centred moments round differently)."""
     n = x.size
-    s1, s2, s3, s4 = (float(np.add.reduce(x**r)) if r <= p_max else 0.0
-                      for r in range(1, MAX_P + 1))
-    k = (s1 * 1.0/n,
-         (n*s2 - s1**2.0) / (n*(n - 1.0)),
-         (2*s1**3 - 3*n*s1*s2 + n*n*s3) / (n*(n - 1.0)*(n - 2.0)),
-         (-6*s1**4 + 12*n*s1**2 * s2 - 3*n*(n-1.0)*s2**2
-          - 4*n*(n+1)*s1*s3 + n*n*(n+1)*s4) / (n*(n-1.0)*(n-2.0)*(n-3.0)))
-    return k[:p_max]
+    s1 = float(np.add.reduce(x))
+    s2 = float(np.add.reduce(x**2))
+    return s1 * 1.0/n, (n*s2 - s1**2.0) / (n*(n - 1.0))
 
 
 def _require_cumulant_counts(counts, j1: int, prefix: str = "") -> None:
@@ -328,7 +319,6 @@ class MfEstimate:
     octave_range: tuple
     spectrum: np.ndarray
     diagnostics: dict
-    higher_cumulants: np.ndarray | None = None
     reference_shift: int = 0
     beta: float | None = None
     hurst: float | None = None
@@ -338,7 +328,7 @@ class MfEstimate:
 def multifractal_estimate(pyramid: WaveletPyramid, j1: int, j2: int,
                           q_grid=DEFAULT_Q_GRID, gamma_mode: str = "fixed",
                           gamma_value: float | None = 2.0, gamma_eps: float = 0.1,
-                          p_max: int = 2, reference_shift: int = 0) -> MfEstimate:
+                          reference_shift: int = 0) -> MfEstimate:
     """Full leader analysis of one pyramid.
 
     reference_shift = 1 quotes the exponents of the series' cumulative
@@ -352,8 +342,7 @@ def multifractal_estimate(pyramid: WaveletPyramid, j1: int, j2: int,
     leaders = compute_leaders(pyramid, gamma)
     q, rows = _moments(leaders, q_grid, j1, j2)
     fits, zeta = _zeta(q, rows, j1, j2, leaders.gamma - reference_shift)
-    c_p, cum_diag = log_cumulants(leaders, p_max, j1, j2)
-    c_p = c_p.copy()
+    c_p, cum_diag = log_cumulants(leaders, j1, j2)
     c_p[0] += reference_shift
     spectrum = legendre_spectrum(zeta)
     diagnostics = {
@@ -364,12 +353,11 @@ def multifractal_estimate(pyramid: WaveletPyramid, j1: int, j2: int,
     return MfEstimate(
         zeta=zeta,
         c1=float(c_p[0]),
-        c2=float(c_p[1]) if p_max >= 2 else float("nan"),
+        c2=float(c_p[1]),
         gamma=gamma,
         h_min=h_min,
         octave_range=(j1, j2),
         spectrum=spectrum,
         diagnostics=diagnostics,
-        higher_cumulants=c_p[2:] if p_max > 2 else None,
         reference_shift=reference_shift,
     )

@@ -33,7 +33,7 @@ from .errors import (DataFormatError, EstimationError, ParameterError,
 from .grouptests import (CLASSES, PARAMS, STATES, BatteryReport, GroupSummary,
                          GroupTable, MapTaxonomy, _check_alpha_levels,
                          _check_class, aggregate, run_battery)
-from .leaders_mf import (DEFAULT_Q_GRID, MAX_P, MfEstimate, _check_gamma,
+from .leaders_mf import (DEFAULT_Q_GRID, MfEstimate, _check_gamma,
                          _check_q_grid, _require_cumulant_counts,
                          compute_leaders, multifractal_estimate)
 from .scaling import (_check_welch, estimate_hurst, fit_loglog,
@@ -113,7 +113,6 @@ class AnalysisConfig:
     gamma_value: float = 2.0
     gamma_eps: float = 0.1
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID
-    p_max: int = 2
     alpha_levels: tuple[float, ...] = (0.01, 0.05)
     welch_segment_length: int | None = None
     welch_overlap: float = 0.5
@@ -134,8 +133,6 @@ class AnalysisConfig:
         # each value by the rule of the layer that uses it
         _check_vanishing(self.n_vanishing, "config key ")
         _check_alpha_levels(self.alpha_levels, "config key ")
-        if not 2 <= self.p_max <= MAX_P:  # c2 is a reported parameter
-            raise ParameterError(f"p_max {self.p_max} outside 2..{MAX_P}")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
         _check_gamma(self.gamma_mode, self.gamma_value, self.gamma_eps,
@@ -517,8 +514,7 @@ def analyze_series(signal: Signal, config: AnalysisConfig) -> MfEstimate:
         estimate = multifractal_estimate(
             pyramid, j1, j2, q_grid=config.q_grid,
             gamma_mode=config.gamma_mode, gamma_value=config.gamma_value,
-            gamma_eps=config.gamma_eps, p_max=config.p_max,
-            reference_shift=shift,
+            gamma_eps=config.gamma_eps, reference_shift=shift,
         )
         diagnostics = dict(estimate.diagnostics)
         diagnostics["spectrum_fit"] = fit

@@ -36,9 +36,10 @@ class SpectrumEstimate:
         p = np.asarray(self.power, dtype=np.float64)
         if f.shape != p.shape or f.ndim != 1:
             raise ParameterError("frequencies and power must be 1-D, same length")
-        if (np.diff(f) <= 0).any():
+        # every comparison with NaN is False, so NaN fails both checks
+        if not (f[1:] > f[:-1]).all() or np.isnan(f[:1]).any():
             raise ParameterError("frequencies must be strictly increasing")
-        if (p < 0).any():
+        if not (p >= 0).all():
             raise ParameterError("power must be nonnegative")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "power", p)

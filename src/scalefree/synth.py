@@ -3,8 +3,8 @@ random walk.
 
 All generators are exact-covariance circulant-embedding constructions,
 deterministic given GeneratorSpec.seed, so they can serve as oracles for
-every estimator in the package.  The random-walk cumulant identities used
-by theoretical_zeta are derived in docs/mrw_cumulants.md.
+every estimator in the package.  The random walk's model log-cumulants
+(c1 = H + lambda2, c2 = -lambda2) are derived in docs/mrw_cumulants.md.
 """
 
 from __future__ import annotations
@@ -200,29 +200,3 @@ def gen_mrw(spec: GeneratorSpec) -> Signal:
         raise ParameterError(f"gen_mrw called with kind={spec.kind!r}")
     return generate(spec)
 
-
-def theoretical_zeta(spec: GeneratorSpec, q: float) -> float:
-    """Model scaling exponent zeta(q) of the generator's motion increments.
-
-    fgn/fbm are H-self-similar: zeta(q) = qH, defined for q > -1 (absolute
-    Gaussian moments).  The log-normal random walk follows the quadratic
-    form zeta(q) = c1 q + c2 q^2/2 with c2 = -lambda2 and c1 = H + lambda2
-    (derived in docs/mrw_cumulants.md for the implemented construction),
-    valid while the associated Legendre spectrum stays nonnegative,
-    i.e. |q| <= sqrt(2/lambda2).
-    """
-    if spec.kind in ("fgn", "fbm"):
-        if q <= -1.0:
-            raise ParameterError(
-                f"q={q} outside the moment-existence range q > -1 for {spec.kind}"
-            )
-        return float(q * spec.hurst)
-
-    q_max = math.inf if spec.lambda2 == 0 else math.sqrt(2.0 / spec.lambda2)
-    if q <= -1.0 or abs(q) > q_max:
-        raise ParameterError(
-            f"q={q} outside the mrw validity range (-1, {q_max:.3f}]"
-        )
-    c1 = spec.hurst + spec.lambda2
-    c2 = -spec.lambda2
-    return float(c1 * q + 0.5 * c2 * q * q)

@@ -362,10 +362,9 @@ def analyze_series_before(signal, config):
     rows = np.vstack([np.mean(v[:, None] ** q[None, :], axis=0) for v in valid])
     zeta_fits = [fit_loglog_before(column, j1, j2) for column in rows.T]
     zeta = np.column_stack([q, [f[0] for f in zeta_fits] - (gamma - shift) * q])
-    cum = np.array([[kstat(np.log(v), p) for p in range(1, config.p_max + 1)]
-                    for v in valid])
+    cum = np.array([[kstat(np.log(v), p) for p in (1, 2)] for v in valid])
     x = np.arange(j1, j2 + 1, dtype=np.float64) * math.log(2.0)
-    cum_fits = [ols_line(x, cum[:, p]) for p in range(config.p_max)]
+    cum_fits = [ols_line(x, cum[:, p]) for p in (0, 1)]
     return {
         "beta": beta, "hurst": hurst, "stationary": hurst < 1.0,
         "h_min": h_min, "gamma": gamma, "reference_shift": shift,

@@ -88,7 +88,7 @@ def test_criterion_03_multifractality_detection(db3):
             sig = gen_mrw(GeneratorSpec("mrw", 0.5, MRW_LENGTH, seed=seed,
                                         lambda2=lambda2))
             leaders = compute_leaders(dwt(sig, db3, 9), 2.0)
-            c_p, _ = log_cumulants(leaders, 2, 3, 9)
+            c_p, _ = log_cumulants(leaders, 3, 9)
             c2s.append(c_p[1])
         means[lambda2] = np.mean(c2s)
         assert abs(means[lambda2] + lambda2) <= 0.02, \
@@ -139,7 +139,7 @@ def test_criterion_06_gamma_correction_consistency(db3):
                       db3, 6)
         c1 = {}
         for gamma in (1.0, 2.0):
-            c_p, _ = log_cumulants(compute_leaders(pyramid, gamma), 2, 3, 6)
+            c_p, _ = log_cumulants(compute_leaders(pyramid, gamma), 3, 6)
             c1[gamma] = c_p[0]
         gaps.append(c1[1.0] - c1[2.0])
     mean_gap = float(np.mean(gaps))

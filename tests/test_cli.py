@@ -218,7 +218,11 @@ class TestAnalyzeCommand:
             ({"synthetic": {}, "gamma": 2}, "config key gamma"),
             ({"synthetic": {}, "octave_range": [3]}, "config key octave_range"),
             ({"synthetic": {}, "workers": "2"}, "config key workers"),
-            ({"synthetic": {}, "p_max": 1}, "p_max"),
+            # the removed log-cumulant order knob is an unknown key
+            ({"synthetic": {}, "p_max": 1, "output_dir": out},
+             "error: unknown config keys: ['p_max']\n"),
+            ({"synthetic": {}, "p_max": 2, "output_dir": out},
+             "error: unknown config keys: ['p_max']\n"),
             ({"synthetic": {"length": "2048"}}, "config key synthetic.length"),
             ({"inputs": {"subjects": []}}, "config key inputs.taxonomy"),
             ({"inputs": {"taxonomy": "t.csv", "subjects": [

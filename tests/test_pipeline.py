@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -99,7 +100,7 @@ def flatten_map(path: Path, column: int, value: str = "5.0"):
 # mode and a file study in auto mode (from_dict opens no input file).
 _CONFIG_SETTINGS = {
     "octave_range": [3, 6], "n_vanishing": 3, "q_grid": [-2, -1, 1, 2],
-    "p_max": 2, "alpha_levels": [0.01, 0.05], "sampling_rate": 1.0,
+    "alpha_levels": [0.01, 0.05], "sampling_rate": 1.0,
     "welch": {"segment_length": 256, "overlap_fraction": 0.5, "window": "hann"},
     "output_dir": "out", "workers": 1, "seed": 0}
 VALID_CONFIGS = [
@@ -1579,6 +1580,79 @@ class TestRunFullAnalysis:
         table = load_estimates_csv(out / "estimates.csv", tax)
         assert table.n_subjects == SMALL_SYNTH["subjects"]
         assert np.allclose(table.estimates, report.table.estimates)
+
+
+# Knob liveness: every AnalysisConfig field, set to one valid alternative
+# value, changes an output of a small study, in one of two: "synthetic"
+# (3 subjects, 6 maps, length 1024, fixed gamma) or "files" (its series
+# read back from run CSVs, auto gamma).
+KNOB_STUDY = {"subjects": 3, "length": 1024, "maps": {"F": 3, "A": 2, "U": 1}}
+KNOB_ALTERNATIVES = {  # field: (study, alternative value)
+    "octave_range": ("synthetic", (2, 5)),
+    "n_vanishing": ("synthetic", 2),
+    "gamma_mode": ("synthetic", "auto"),
+    "gamma_value": ("synthetic", 1.0),
+    "gamma_eps": ("files", 0.3),
+    "q_grid": ("synthetic", (-2.0, -1.0, 1.0, 2.0)),
+    "alpha_levels": ("synthetic", (0.01, 0.1)),
+    "welch_segment_length": ("synthetic", 256),
+    "welch_overlap": ("synthetic", 0.25),
+    "welch_window": ("synthetic", "rect"),
+    "sampling_rate": ("synthetic", 2.0),
+    "inputs": ("files", "each subject's rest and task runs swapped"),
+    "synthetic": ("synthetic", {**KNOB_STUDY, "rest_hurst": {"F": 0.6}}),
+    "seed": ("synthetic", 1),
+}
+# Fields inert on purpose, and the studies where they are: the outputs'
+# place and worker count; the auto-mode eps under fixed gamma, the fixed
+# value under auto gamma, and the synthesis seed in a file study.
+INERT_KNOBS = {"workers": ("synthetic", "files"),
+               "output_dir": ("synthetic", "files"),
+               "gamma_eps": ("synthetic",), "gamma_value": ("files",),
+               "seed": ("files",)}
+
+
+def study_outputs(config: AnalysisConfig, out: Path) -> dict:
+    """The outputs of config's study, run into out, less what echoes the
+    config: config_resolved.json and the provenance's config hash and
+    seed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the one-map U class
+        run_full_analysis(replace(config, output_dir=str(out)))
+    written = outputs(out)
+    del written["config_resolved.json"]
+    doc = json.loads(written["group_report.json"])
+    del doc["provenance"]["config_sha256"], doc["provenance"]["seed"]
+    written["group_report.json"] = doc
+    return written
+
+
+@pytest.fixture(scope="module")
+def knob_studies(tmp_path_factory) -> dict:
+    """{study: (config, outputs)} of the two knob-liveness studies."""
+    root = tmp_path_factory.mktemp("knobs")
+    synthetic = AnalysisConfig(synthetic=KNOB_STUDY)
+    files = AnalysisConfig(inputs=synthetic_study_as_files(synthetic, root),
+                           gamma_mode="auto")
+    return {name: (config, study_outputs(config, root / name))
+            for name, config in (("synthetic", synthetic), ("files", files))}
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(AnalysisConfig)])
+def test_every_config_field_reaches_an_output(knob_studies, tmp_path, field):
+    if field not in KNOB_ALTERNATIVES:
+        assert field in INERT_KNOBS, f"{field} has no alternative value"
+        return
+    study, value = KNOB_ALTERNATIVES[field]
+    assert study not in INERT_KNOBS.get(field, ()), field
+    config, expected = knob_studies[study]
+    if field == "inputs":
+        value = {**config.inputs, "subjects": [
+            {**s, "rest": s["task"], "task": s["rest"]}
+            for s in config.inputs["subjects"]]}
+    changed = study_outputs(replace(config, **{field: value}), tmp_path)
+    assert changed != expected, f"{field} changes no output"
 
 
 class TestSyntheticTaxonomy:

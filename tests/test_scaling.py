@@ -414,8 +414,15 @@ class TestWaveletSpectrum:
                 wavelet_spectrum(short)
 
     def test_decreasing_frequencies_rejected(self):
-        with pytest.raises(ParameterError, match="strictly increasing"):
-            SpectrumEstimate(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+        nan = math.nan
+        cases = [(f, [1.0] * len(f), "frequencies must be strictly increasing")
+                 for f in ([2.0, 1.0], [0.1, 0.2, nan, 0.3, 0.4, 0.5],
+                           [nan, 0.1, 0.2], [nan])]
+        cases.append(([0.1, 0.2, 0.3], [1.0, nan, 1.0],
+                      "power must be nonnegative"))
+        for f, p, message in cases:
+            with pytest.raises(ParameterError, match=message):
+                SpectrumEstimate(np.array(f), np.array(p))
 
 
 class TestWelchWaveletAgreement:

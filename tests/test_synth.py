@@ -9,8 +9,7 @@ from scipy import stats as sp_stats
 
 from scalefree.errors import ParameterError
 from scalefree.synth import (KINDS, GeneratorSpec, _circulant_draw, _fgn_root,
-                             _omega_root, gen_fbm, gen_fgn, gen_mrw, generate,
-                             theoretical_zeta)
+                             _omega_root, gen_fbm, gen_fgn, gen_mrw, generate)
 
 from oracles import circulant_draw, generated_samples
 
@@ -298,34 +297,3 @@ class TestSampleMemory:
             assert samples.flags.owndata and samples.flags.c_contiguous
         nbytes = sum(samples.nbytes for samples in kept)
         assert held <= 1.05 * nbytes, (held, nbytes)
-
-
-class TestTheoreticalZeta:
-    def test_fbm_linear(self):
-        spec = GeneratorSpec("fbm", 0.7, 2**10, seed=0)
-        assert theoretical_zeta(spec, 2.0) == pytest.approx(1.4)
-
-    def test_zeta_zero_is_zero(self):
-        for spec in (GeneratorSpec("fgn", 0.3, 2**10, seed=0),
-                     GeneratorSpec("mrw", 0.5, 2**10, seed=0, lambda2=0.05)):
-            assert theoretical_zeta(spec, 0.0) == 0.0
-
-    def test_mrw_concavity_gap_equals_c2(self):
-        spec = GeneratorSpec("mrw", 0.5, 2**10, seed=0, lambda2=0.05)
-        gap = theoretical_zeta(spec, 2.0) - 2.0 * theoretical_zeta(spec, 1.0)
-        assert gap == pytest.approx(-0.05)
-
-    def test_moment_range_enforced(self):
-        spec = GeneratorSpec("mrw", 0.5, 2**10, seed=0, lambda2=0.5)
-        with pytest.raises(ParameterError):
-            theoretical_zeta(spec, 5.0)
-        with pytest.raises(ParameterError):
-            theoretical_zeta(GeneratorSpec("fgn", 0.5, 2**10, seed=0), -1.5)
-
-    def test_mrw_strictly_concave(self):
-        spec = GeneratorSpec("mrw", 0.5, 2**10, seed=0, lambda2=0.08)
-        qs = np.array([-0.9, -0.5, 0.5, 1.0, 2.0, 3.0])
-        zs = np.array([theoretical_zeta(spec, q) for q in qs])
-        first = np.diff(zs) / np.diff(qs)
-        second = np.diff(first) / (qs[2:] - qs[:-2])
-        assert np.all(second < 0)
