@@ -24,7 +24,8 @@ from .errors import DataFormatError, ScaleFreeError
 from .grouptests import _check_alpha_levels, run_battery
 from .pipeline import (AnalysisConfig, _csv_rows, _parse_cell, _spectrum_rows,
                        load_estimates_csv, load_taxonomy, run_full_analysis)
-from .scaling import WINDOWS, fit_psd_powerlaw, scale_to_frequency, welch_psd
+from .scaling import (WINDOWS, _check_octaves, fit_psd_powerlaw,
+                      scale_to_frequency, welch_psd)
 from .synth import GeneratorSpec, generate
 from .wavelet import Signal, _check_rate, build_wavelet, dwt
 
@@ -80,6 +81,7 @@ def _read_column(path, column):
 
 def _cmd_spectrum(args) -> int:
     _check_rate(args.rate, "--rate: ")
+    _check_octaves(args.j1, args.j2, "--j1/--j2: ")
     samples = _read_column(args.infile, args.column)
     signal = Signal(samples, args.rate, label=args.column)
     rows = []

@@ -276,7 +276,8 @@ def legendre_spectrum(zeta_pairs) -> np.ndarray:
     The h grid spans the range of discrete slopes of zeta with a 0.1 margin;
     only points with D >= 0 are returned, as (h, D) rows.  A q grid that is
     all one sign cannot reach both spectrum branches; a warning is emitted
-    and the reachable half is returned.
+    and the reachable half is returned.  A zeta that is NaN or infinite
+    raises ParameterError naming its q.
     """
     pairs = np.asarray(zeta_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -291,8 +292,14 @@ def legendre_spectrum(zeta_pairs) -> np.ndarray:
             stacklevel=2,
         )
     slopes = np.diff(zeta) / np.diff(q)
-    h_grid = np.linspace(slopes.min() - LEGENDRE_MARGIN,
-                         slopes.max() + LEGENDRE_MARGIN, LEGENDRE_GRID_SIZE)
+    lo, hi = slopes.min(), slopes.max()  # not finite if a zeta is not
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = np.flatnonzero(~np.isfinite(zeta))
+        if bad.size:
+            raise ParameterError(f"zeta({q[bad[0]]:g}) = {zeta[bad[0]]} is not "
+                                 "finite; D(h) needs finite exponents")
+    h_grid = np.linspace(lo - LEGENDRE_MARGIN, hi + LEGENDRE_MARGIN,
+                         LEGENDRE_GRID_SIZE)
     # a running minimum over q, with no (h, q) table
     d_vals = np.full_like(h_grid, np.inf)
     for q_k, zeta_k in zip(q.tolist(), zeta.tolist()):

@@ -36,9 +36,9 @@ from .grouptests import (CLASSES, PARAMS, STATES, BatteryReport, GroupSummary,
 from .leaders_mf import (DEFAULT_Q_GRID, MfEstimate, _check_gamma,
                          _check_q_grid, _require_cumulant_counts,
                          compute_leaders, multifractal_estimate)
-from .scaling import (_check_welch, estimate_hurst, fit_loglog,
-                      fit_psd_powerlaw, scale_to_frequency, welch_psd,
-                      wavelet_spectrum)
+from .scaling import (_check_octaves, _check_welch, estimate_hurst,
+                      fit_loglog, fit_psd_powerlaw, scale_to_frequency,
+                      welch_psd, wavelet_spectrum)
 from .synth import GeneratorSpec, generate
 from .wavelet import (MAX_VANISHING, MotherWavelet, Signal, _check_rate,
                       _check_vanishing, build_wavelet, dwt,
@@ -125,12 +125,8 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self):
-        j1, j2 = self.octave_range
-        if not (1 <= j1 < j2):
-            raise ParameterError(f"invalid octave_range {self.octave_range}")
-        if j2 - j1 < 2:
-            raise ParameterError("octave_range must span at least 3 octaves")
         # each value by the rule of the layer that uses it
+        _check_octaves(*self.octave_range, "config key ")
         _check_vanishing(self.n_vanishing, "config key ")
         _check_alpha_levels(self.alpha_levels, "config key ")
         if self.workers < 1:

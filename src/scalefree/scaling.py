@@ -244,6 +244,13 @@ def _ols_fit(design: tuple, y: np.ndarray):
     return slope, intercept, stderr, r_squared
 
 
+def _check_octaves(j1: int, j2: int, prefix: str = "") -> None:
+    """The octaves j1..j2 of a scaling fit: at least 3, from octave 1 on."""
+    if not 1 <= j1 <= j2 - 2:
+        raise ParameterError(
+            f"{prefix}octave_range: ({j1}, {j2}) must have 1 <= j1 <= j2 - 2")
+
+
 def fit_loglog(values, j1: int, j2: int) -> ScalingFit:
     """OLS of log2(value) on octave over j1..j2.
 

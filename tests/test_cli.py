@@ -137,6 +137,21 @@ class TestSpectrumCommand:
                 "error: --rate: sampling_rate: inf must be finite and > 0\n")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_octave_range_rejected_before_reading(self, tmp_path, capsys):
+        """The config's octave-range rule, before the input file is read:
+        octave 0 used to wrap to the last octave, and j1 > j2 reached the
+        Welch fit as an invalid band."""
+        for j1, j2 in ((0, 6), (6, 3), (5, 6)):
+            for method in ("welch", "wavelet"):
+                code = main(["spectrum", "--in", str(tmp_path / "none.csv"),
+                             "--method", method, "--j1", str(j1),
+                             "--j2", str(j2), "--out", str(tmp_path / "x.csv")])
+                assert code == 1
+                assert capsys.readouterr().err == (
+                    f"error: --j1/--j2: octave_range: ({j1}, {j2}) must have "
+                    "1 <= j1 <= j2 - 2\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_column(self, tmp_path, signal_csv, capsys):
         code = main(["spectrum", "--in", str(signal_csv), "--column", "nope",
                      "--out", str(tmp_path / "x.csv")])
@@ -188,33 +203,81 @@ class TestAnalyzeCommand:
         assert code == 0
         assert (tmp_path / "out" / "group_report.json").exists()
 
-    def test_warnings_are_one_line(self, tmp_path, capsys):
-        """analyze and battery print a library warning as one warning:
-        line, without the source location Python's format adds."""
+    def test_warnings_are_one_line(self, tmp_path, capfd):
+        """analyze, serial and pooled, and battery print a library warning
+        as one warning: line, without the source location Python's format
+        adds; stderr is read at its file descriptor, so lines a pool worker
+        prints count too."""
         out = tmp_path / "out"
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "synthetic": {"subjects": 3, "length": 1024,
-                          "maps": {"F": 3, "A": 2, "U": 1}},
-            "output_dir": str(out)}))
+        argvs = []
+        for workers in (1, 2):
+            cfg_path = tmp_path / f"cfg_w{workers}.json"
+            cfg_path.write_text(json.dumps({
+                "synthetic": {"subjects": 3, "length": 1024,
+                              "maps": {"F": 3, "A": 2, "U": 1}},
+                "workers": workers, "output_dir": str(out)}))
+            argvs.append(["analyze", "--config", str(cfg_path)])
         tax = tmp_path / "tax.csv"
         tax.write_text("map_index,class\n" + "".join(
             f"{k},{c}\n" for k, c in enumerate("FFFAAU", 1)))
-        for argv in (["analyze", "--config", str(cfg_path)],
-                     ["battery", "--estimates", str(out / "estimates.csv"),
+        argvs.append(["battery", "--estimates", str(out / "estimates.csv"),
                       "--taxonomy", str(tax),
-                      "--out", str(tmp_path / "battery.json")]):
+                      "--out", str(tmp_path / "battery.json")])
+        for argv in argvs:
             assert main(argv) == 0
-            err = capsys.readouterr().err
+            err = capfd.readouterr().err
             assert "warning: ANOVA for 'U' skipped" in err, err
             assert ".py:" not in err, err
             assert all(line.startswith("warning: ")
                        for line in err.splitlines()), err
 
+    def test_per_series_failures_exit_2(self, tmp_path, capsys):
+        """A file study whose series fail alone, one constant map and one
+        scaled so far that zeta(5) overflows: analyze writes every output,
+        lists both failures in the report and returns 2."""
+        rng = np.random.default_rng(2)
+        tax = tmp_path / "tax.csv"
+        tax.write_text("map_index,class\n1,F\n2,A\n3,U\n")
+        subjects = []
+        for sid in ("a", "b", "c", "d"):
+            entry = {"id": sid}
+            for state in ("rest", "task"):
+                data = rng.standard_normal((1024, 3))
+                if (sid, state) == ("b", "task"):
+                    data[:, 0] = 5.0
+                    data[:, 1] *= 1e60
+                entry[state] = str(tmp_path / f"{sid}_{state}.csv")
+                np.savetxt(entry[state],
+                           np.column_stack([np.arange(1024), data]),
+                           fmt="%.17g", delimiter=",", comments="",
+                           header="t,map_1,map_2,map_3")
+            subjects.append(entry)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "inputs": {"taxonomy": str(tax), "subjects": subjects},
+            "output_dir": str(tmp_path / "out")}))
+        assert main(["analyze", "--config", str(cfg_path)]) == 2
+        assert "24 series, 2 failure(s)" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "group_report.json").read_text())
+        failures = report["failures"]
+        assert sorted(failures) == ["b/a_1/task", "b/f_1/task"]
+        assert failures["b/f_1/task"].startswith(
+            "DegenerateInputError: b/f_1/task: wavelet coefficients")
+        assert failures["b/a_1/task"] == (
+            "ParameterError: b/a_1/task: zeta(5) = nan is not finite; "
+            "D(h) needs finite exponents")
+        assert report["dropped_subjects"] == ["b"]
+        assert len(list((tmp_path / "out").iterdir())) == 6
+
     def test_invalid_config_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         cases = [  # (config, text the error must name)
             ({"synthetic": {}, "octave_range": [3, 3]}, "octave_range"),
+            ({"synthetic": {}, "octave_range": [0, 6]},
+             "error: config key octave_range: (0, 6) must have "
+             "1 <= j1 <= j2 - 2\n"),
+            ({"synthetic": {}, "octave_range": [6, 3]},
+             "config key octave_range: (6, 3)"),
             ({"synthetic": {}, "gamma": 2}, "config key gamma"),
             ({"synthetic": {}, "octave_range": [3]}, "config key octave_range"),
             ({"synthetic": {}, "workers": "2"}, "config key workers"),

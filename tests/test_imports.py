@@ -1,5 +1,5 @@
 """Import hygiene: the analysis path loads no scipy, and the battery loads
-only scipy.special, at its first p-value.
+only scipy.special, at its first p-value; README's example runs.
 
 scipy's import takes most of the library's import time and memory (the
 tests use scipy.fft, scipy.stats and scipy.signal as oracles), so this
@@ -8,6 +8,7 @@ check runs in a fresh interpreter.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -64,3 +65,12 @@ def test_analysis_loads_no_scipy_and_battery_only_special(tmp_path):
     assert (tmp_path / "study" / "pvalues.csv").is_file()
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "analysis": [], "special": True, "battery": []}
+
+
+def test_readme_example_runs():
+    """README's first python block, so the public API it names stays
+    importable."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})

@@ -386,6 +386,22 @@ class TestSpectra:
             assert str(exc.value) == (
                 f"q_grid: {q} must hold >= 2 finite, distinct values")
 
+    def test_legendre_names_first_non_finite_zeta(self):
+        """A NaN or infinite zeta(q) raises naming the smallest such q, in
+        place of a D(h) with no rows; q = -5 and q = 5 are the grid's ends,
+        where one slope alone is not finite."""
+        q = np.array([-5.0, -1.0, 1.0, 2.0, 5.0])
+        for bad, named in (({4: math.nan}, "zeta(5) = nan"),
+                           ({0: math.inf}, "zeta(-5) = inf"),
+                           ({2: -math.inf}, "zeta(1) = -inf"),
+                           ({3: math.nan, 4: math.inf}, "zeta(2) = nan")):
+            zeta = 0.7 * q
+            zeta[list(bad)] = list(bad.values())
+            with pytest.raises(ParameterError) as exc:
+                legendre_spectrum(np.column_stack([q, zeta])[::-1])
+            assert str(exc.value) == (
+                f"{named} is not finite; D(h) needs finite exponents")
+
     def test_legendre_single_signed_grid_warns(self):
         pairs = np.array([[q, 0.6 * q] for q in (0.5, 1.0, 2.0, 3.0)])
         with pytest.warns(UserWarning, match="single-signed"):

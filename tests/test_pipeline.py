@@ -669,12 +669,21 @@ class TestLocatedErrorFuzz:
             assert matrix.tolist() == [row[1:] for row in expected]
 
     def test_run_csv_fast_path_reads_valid_files(self, tmp_path):
-        for name, newline in (("lf.csv", b"\n"), ("crlf.csv", b"\r\n")):
-            path = write_rows(tmp_path / name, RUN_ROWS, newline)
+        """A valid run CSV, LF or CRLF, reads through the vectorised pass.
+        With every cell quoted, as csv.QUOTE_ALL writes, and CRLF line
+        ends, that pass declines it and the per-cell reader reads the
+        same values."""
+        quoted = [[b'"%s"' % cell for cell in row] for row in RUN_ROWS]
+        for name, rows, newline in (("lf.csv", RUN_ROWS, b"\n"),
+                                    ("crlf.csv", RUN_ROWS, b"\r\n"),
+                                    ("quoted.csv", quoted, b"\r\n")):
+            path = write_rows(tmp_path / name, rows, newline)
+            expected = [[float(c) for c in row] for row in read_rows(path)]
             matrix = pipeline._loadtxt(path, 4)
-            assert matrix is not None
-            assert matrix.tolist() == [[float(c) for c in row]
-                                       for row in read_rows(path)]
+            assert (matrix is None) == (rows is quoted)
+            assert matrix is None or matrix.tolist() == expected
+            assert pipeline._load_run_csv(path, 3).tolist() == [
+                row[1:] for row in expected]
 
     @given(edit=FUZZ_EDITS, newline=st.sampled_from((b"\n", b"\r\n")))
     @settings(max_examples=300, deadline=None)
@@ -916,10 +925,18 @@ class TestAnalyzeSeries:
             analyze_series(sig, cfg)
 
     def test_label_in_error(self):
+        """A series that fails is named by its label: a constant one, and
+        one scaled by 1e60, whose leaders' 5th power overflows, so zeta(5)
+        is NaN (it used to report ok with no D(h) row)."""
         cfg = AnalysisConfig(synthetic={})
         sig = Signal(np.full(4096, 1.0), 1.0, "flatliner")
         with pytest.raises(DegenerateInputError, match="flatliner"):
             analyze_series(sig, cfg)
+        samples = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=1)).samples
+        with pytest.raises(ParameterError) as err, np.errstate(all="ignore"):
+            analyze_series(Signal(samples * 1e60, 1.0, "s01/f_1/rest"), cfg)
+        assert str(err.value) == ("s01/f_1/rest: zeta(5) = nan is not finite; "
+                                  "D(h) needs finite exponents")
 
     def test_leader_spans_match_a_real_series(self, db3):
         walk = gen_mrw(GeneratorSpec("mrw", 0.6, 4096, seed=2, lambda2=0.04))
