@@ -335,11 +335,19 @@ def welch_beta_before(samples, fs, config):
     return -ols_line(np.log2(f[mask]), np.log2(power[mask]))[0]
 
 
+def moments_before(valid, q):
+    """S(j, q) as L ** q averaged by np.mean, one row per array of valid
+    leaders in valid: the reference the exp(q ln L) rows of _moments are
+    held to."""
+    return np.vstack([np.mean(v[:, None] ** q[None, :], axis=0) for v in valid])
+
+
 def analyze_series_before(signal, config):
     """{field: value} of analyze_series(signal, config) composed from the
     oracles above, computing every per-length and per-series value afresh
-    and fitting each q column and cumulant with its own one-pass OLS; the
-    k-statistics come from scipy.stats.kstat.  dwt, compute_leaders,
+    and fitting each q column and cumulant with its own one-pass OLS; S(j, q)
+    comes from moments_before and the k-statistics from scipy.stats.kstat.
+    dwt, compute_leaders,
     select_gamma and legendre_spectrum are the library's."""
     from scipy.stats import kstat
     from scalefree.leaders_mf import (compute_leaders, legendre_spectrum,
@@ -359,7 +367,7 @@ def analyze_series_before(signal, config):
     leaders = compute_leaders(pyramid, gamma)
     valid = [valid_leaders_before(leaders, j) for j in range(j1, j2 + 1)]
     q = np.asarray(config.q_grid, dtype=np.float64)
-    rows = np.vstack([np.mean(v[:, None] ** q[None, :], axis=0) for v in valid])
+    rows = moments_before(valid, q)
     zeta_fits = [fit_loglog_before(column, j1, j2) for column in rows.T]
     zeta = np.column_stack([q, [f[0] for f in zeta_fits] - (gamma - shift) * q])
     cum = np.array([[kstat(np.log(v), p) for p in (1, 2)] for v in valid])

@@ -231,10 +231,11 @@ class TestAnalyzeCommand:
             assert all(line.startswith("warning: ")
                        for line in err.splitlines()), err
 
-    def test_per_series_failures_exit_2(self, tmp_path, capsys):
+    def test_per_series_failures_exit_2(self, tmp_path, capfd):
         """A file study whose series fail alone, one constant map and one
         scaled so far that zeta(5) overflows: analyze writes every output,
-        lists both failures in the report and returns 2."""
+        lists both failures in the report and returns 2, serial and
+        pooled, and prints no numpy warning for the overflow."""
         rng = np.random.default_rng(2)
         tax = tmp_path / "tax.csv"
         tax.write_text("map_index,class\n1,F\n2,A\n3,U\n")
@@ -252,22 +253,27 @@ class TestAnalyzeCommand:
                            fmt="%.17g", delimiter=",", comments="",
                            header="t,map_1,map_2,map_3")
             subjects.append(entry)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "inputs": {"taxonomy": str(tax), "subjects": subjects},
-            "output_dir": str(tmp_path / "out")}))
-        assert main(["analyze", "--config", str(cfg_path)]) == 2
-        assert "24 series, 2 failure(s)" in capsys.readouterr().out
-        report = json.loads((tmp_path / "out" / "group_report.json").read_text())
-        failures = report["failures"]
-        assert sorted(failures) == ["b/a_1/task", "b/f_1/task"]
-        assert failures["b/f_1/task"].startswith(
-            "DegenerateInputError: b/f_1/task: wavelet coefficients")
-        assert failures["b/a_1/task"] == (
-            "ParameterError: b/a_1/task: zeta(5) = nan is not finite; "
-            "D(h) needs finite exponents")
-        assert report["dropped_subjects"] == ["b"]
-        assert len(list((tmp_path / "out").iterdir())) == 6
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({
+                "inputs": {"taxonomy": str(tax), "subjects": subjects},
+                "output_dir": str(out), "workers": workers}))
+            assert main(["analyze", "--config", str(cfg_path)]) == 2
+            captured = capfd.readouterr()
+            assert "24 series, 2 failure(s)" in captured.out
+            assert "overflow encountered" not in captured.err, captured.err
+            assert "invalid value encountered" not in captured.err, captured.err
+            report = json.loads((out / "group_report.json").read_text())
+            failures = report["failures"]
+            assert sorted(failures) == ["b/a_1/task", "b/f_1/task"]
+            assert failures["b/f_1/task"].startswith(
+                "DegenerateInputError: b/f_1/task: wavelet coefficients")
+            assert failures["b/a_1/task"] == (
+                "ParameterError: b/a_1/task: zeta(5) = nan is not finite; "
+                "D(h) needs finite exponents")
+            assert report["dropped_subjects"] == ["b"]
+            assert len(list(out.iterdir())) == 6
 
     def test_invalid_config_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "out")

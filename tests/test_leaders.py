@@ -1,9 +1,10 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstat
 
@@ -402,6 +403,21 @@ class TestSpectra:
             assert str(exc.value) == (
                 f"{named} is not finite; D(h) needs finite exponents")
 
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_legendre_names_q_pair_with_non_finite_slope(self, tiny):
+        """Finite zetas whose slope between two neighbouring q overflows
+        (q closer than about 1e-307, which the config accepts) raise naming
+        that pair, with no RuntimeWarning, in place of a D(h) on a
+        non-finite h grid."""
+        q = np.array([-1.0, 0.0, tiny, 1.0, 2.0])
+        zeta = np.array([-1.2, 0.0, 0.5, 0.7, 1.2])
+        with pytest.raises(ParameterError) as exc:
+            legendre_spectrum(np.column_stack([q, zeta]))
+        assert str(exc.value) == (
+            f"q_grid: the slope of zeta between q = 0.0 and q = {tiny!r} is "
+            "inf; D(h) needs finite slopes, so q values this close cannot "
+            "be used")
+
     def test_legendre_single_signed_grid_warns(self):
         pairs = np.array([[q, 0.6 * q] for q in (0.5, 1.0, 2.0, 3.0)])
         with pytest.warns(UserWarning, match="single-signed"):
@@ -414,14 +430,29 @@ class TestSpectra:
            zeta=st.lists(st.floats(-20, 20, allow_subnormal=False),
                          min_size=16, max_size=16),
            shuffle=st.randoms(use_true_random=False))
+    @example(q=[-1.0, 0.0, 2.2250738585072014e-308],
+             zeta=[-1.0, 0.0, 5.0] + [0.0] * 13, shuffle=random.Random(0))
     @settings(max_examples=200, deadline=None)
     def test_legendre_equals_outer_product_bitwise(self, q, zeta, shuffle):
         """The running minimum over q gives the D(h) rows of the whole
-        (h, q) table bit for bit, on mixed-sign grids in any order."""
+        (h, q) table bit for bit, on mixed-sign grids in any order; q so
+        close that a slope overflows raises instead."""
         pairs = np.column_stack([q, zeta[:len(q)]])
         pairs = pairs[shuffle.sample(range(len(q)), len(q))]
-        assert (legendre_spectrum(pairs).tobytes()
-                == legendre_by_outer_product(pairs).tobytes())
+        order = np.argsort(pairs[:, 0])
+        with np.errstate(over="ignore"):
+            slopes = np.diff(pairs[order, 1]) / np.diff(pairs[order, 0])
+        if not np.isfinite(slopes).all():
+            with pytest.raises(ParameterError, match="slope of zeta between"):
+                legendre_spectrum(pairs)
+            return
+        # A finite but huge slope (q about 2.2e-308 apart) overflows the h
+        # grid and h * q in both computations; that case is not handled, so
+        # it may overflow quietly here.
+        quiet = "ignore" if np.abs(slopes).max() > 1e300 else "warn"
+        with np.errstate(over=quiet, invalid=quiet):
+            assert (legendre_spectrum(pairs).tobytes()
+                    == legendre_by_outer_product(pairs).tobytes())
 
     def test_spectrum_width_grows_with_intermittency(self, db3):
         # width of {h : D(h) >= 0.9} tracks the cascade strength

@@ -22,7 +22,8 @@ from scalefree.cli import _read_column, main
 from scalefree.errors import (DataFormatError, DegenerateInputError,
                               ParameterError, ScaleFreeError, ScaleRangeError)
 from scalefree.grouptests import GroupTable, run_battery
-from scalefree.leaders_mf import compute_leaders, legendre_spectrum, select_gamma
+from scalefree.leaders_mf import (_moments, compute_leaders, global_regularity,
+                                  legendre_spectrum, select_gamma)
 from scalefree.pipeline import (AnalysisConfig, _leader_spans, _pool_size,
                                 analyze_series, load_dataset,
                                 load_estimates_csv, load_taxonomy,
@@ -31,7 +32,8 @@ from scalefree.synth import GeneratorSpec, gen_fgn, gen_mrw, generate
 from scalefree.scaling import welch_psd
 from scalefree.wavelet import Signal, build_wavelet, dwt
 
-from oracles import analyze_series_before, csv_outputs_by_csv_writer
+from oracles import (analyze_series_before, csv_outputs_by_csv_writer,
+                     moments_before)
 
 SMALL_SYNTH = {"subjects": 4, "length": 1024, "maps": {"F": 3, "A": 2, "U": 1}}
 DEGENERATE = ("{label}: wavelet coefficients at octave {octave} vanish relative "
@@ -859,7 +861,11 @@ class TestAnalyzeSeries:
         """Every field of analyze_series has the bits of the oracle that
         computes each value afresh, fits each q column and cumulant with
         its own one-pass OLS and scans each positivity check in full (its
-        pyramid is dwt's, which test_wavelet checks against dwt_before)."""
+        pyramid is dwt's, which test_wavelet checks against dwt_before),
+        except the three that read S(j, q): exp(q ln L) is within ulps of
+        the oracle's L ** q, so zeta is held to 1e-12 relative (and 1e-12
+        absolute, for a zeta(q) near 0) and the D(h) rows and the zeta
+        fits' r^2 to 1e-12 absolute."""
         j1, j2 = PARITY_RANGES[length][pick]
         cfg = AnalysisConfig(synthetic={}, octave_range=(j1, j2),
                              gamma_mode=gamma[0], gamma_value=gamma[1])
@@ -870,9 +876,13 @@ class TestAnalyzeSeries:
         def bits(value):
             return np.asarray(value, dtype=np.float64).tobytes()
 
-        for name in ("beta", "hurst", "h_min", "gamma", "c1", "c2", "zeta",
-                     "spectrum"):
+        for name in ("beta", "hurst", "h_min", "gamma", "c1", "c2"):
             assert bits(getattr(est, name)) == bits(expected[name]), name
+        np.testing.assert_allclose(est.zeta, expected["zeta"], rtol=1e-12,
+                                   atol=1e-12)
+        assert est.spectrum.shape == expected["spectrum"].shape
+        np.testing.assert_allclose(est.spectrum, expected["spectrum"],
+                                   rtol=0.0, atol=1e-12)
         assert est.stationary == expected["stationary"]
         assert est.reference_shift == expected["reference_shift"]
         diag = est.diagnostics
@@ -880,9 +890,53 @@ class TestAnalyzeSeries:
         assert bits([fit.slope, fit.intercept, fit.stderr_slope,
                      fit.r_squared]) == bits(expected["spectrum_fit"])
         assert repr(diag["spectrum_rows"]) == repr(expected["spectrum_rows"])
-        for name in ("zeta_r_squared", "cumulant_r_squared", "welch_beta"):
+        for name in ("cumulant_r_squared", "welch_beta"):
             assert bits(diag[name]) == bits(expected[name]), name
+        np.testing.assert_allclose(diag["zeta_r_squared"],
+                                   expected["zeta_r_squared"], rtol=0.0,
+                                   atol=1e-12)
         assert np.array_equal(diag["leader_counts"], expected["leader_counts"])
+
+    @given(kind=st.sampled_from(["fgn", "mrw", "fbm"]),
+           length=st.sampled_from(sorted(PARITY_RANGES)),
+           pick=st.integers(0, 3),
+           gamma=st.sampled_from([("fixed", 0.0), ("fixed", 2.0),
+                                  ("auto", 2.0)]),
+           q=st.lists(st.floats(-5, 5, allow_subnormal=False), min_size=1,
+                      max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_structure_functions_equal_the_formula_before(
+            self, kind, length, pick, gamma, q, seed):
+        """The exp(q ln L) rows of _moments are within 1e-12 relative of
+        the mean of L ** q, on the pyramids analyze_series builds and on
+        user q grids with negative and fractional values; S(j, 0) is
+        exactly 1."""
+        j1, j2 = PARITY_RANGES[length][pick]
+        pyramid = dwt(parity_series(kind, length, seed), build_wavelet(3), j2)
+        gamma = select_gamma(global_regularity(pyramid, j1, j2), *gamma)
+        leaders = compute_leaders(pyramid, gamma)
+        q = np.array(q + [0.0])
+        rows = _moments(leaders, q, j1, j2)[1]
+        expected = moments_before(
+            [leaders.valid_values(j) for j in range(j1, j2 + 1)], q)
+        np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=0.0)
+        assert (rows[:, -1] == 1.0).all()
+
+    def test_overflowing_structure_function_is_inf_in_both_forms(self):
+        """A leader whose L^5 overflows gives S(j, 5) = inf by exp(5 ln L)
+        as by L ** 5; the other moments stay finite and close."""
+        samples = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=1)).samples
+        pyramid = dwt(Signal(samples * 1e60, 1.0), build_wavelet(3), 7)
+        leaders = compute_leaders(pyramid, 2.0)
+        q = np.array([-1.0, 0.0, 1.0, 5.0])
+        with np.errstate(over="ignore"):
+            rows = _moments(leaders, q, 3, 7)[1]
+            expected = moments_before(
+                [leaders.valid_values(j) for j in range(3, 8)], q)
+        assert np.isinf(rows[:, 3]).all() and np.isinf(expected[:, 3]).all()
+        np.testing.assert_allclose(rows[:, :3], expected[:, :3], rtol=1e-12,
+                                   atol=0.0)
 
     @pytest.mark.parametrize("samples", [np.zeros(2048), np.full(2048, -0.0),
                                          np.full(2048, 3.3)])
@@ -927,16 +981,20 @@ class TestAnalyzeSeries:
     def test_label_in_error(self):
         """A series that fails is named by its label: a constant one, and
         one scaled by 1e60, whose leaders' 5th power overflows, so zeta(5)
-        is NaN (it used to report ok with no D(h) row)."""
+        is NaN (it used to report ok with no D(h) row).  The overflow
+        warns of nothing: the labelled error is all it reports."""
         cfg = AnalysisConfig(synthetic={})
         sig = Signal(np.full(4096, 1.0), 1.0, "flatliner")
         with pytest.raises(DegenerateInputError, match="flatliner"):
             analyze_series(sig, cfg)
         samples = gen_fgn(GeneratorSpec("fgn", 0.7, 2048, seed=1)).samples
-        with pytest.raises(ParameterError) as err, np.errstate(all="ignore"):
+        with (pytest.raises(ParameterError) as err,
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
             analyze_series(Signal(samples * 1e60, 1.0, "s01/f_1/rest"), cfg)
         assert str(err.value) == ("s01/f_1/rest: zeta(5) = nan is not finite; "
                                   "D(h) needs finite exponents")
+        assert [str(w.message) for w in caught] == []
 
     def test_leader_spans_match_a_real_series(self, db3):
         walk = gen_mrw(GeneratorSpec("mrw", 0.6, 4096, seed=2, lambda2=0.04))
