@@ -303,7 +303,7 @@ def legendre_spectrum(zeta_pairs) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.diff(zeta) / np.diff(q)
-    lo, hi = slopes.min(), slopes.max()  # not finite if a zeta is not
+    lo, hi = slopes.min(), slopes.max()  # not finite if a zeta or slope is not
     if not (math.isfinite(lo) and math.isfinite(hi)):
         bad = np.flatnonzero(~np.isfinite(zeta))
         if bad.size:
