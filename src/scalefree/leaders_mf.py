@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,12 +107,22 @@ class LeaderPyramid:
 
     @cached_property
     def _valid(self) -> tuple:
-        """valid_values of every octave, filtered once per pyramid."""
-        valid = tuple(v[a:b][v[a:b] > 0.0] for v, a, b
-                      in zip(self.leaders, self.valid_start, self.valid_stop))
+        """valid_values of every octave, filtered once per pyramid: the
+        slice itself when every leader in it is > 0."""
+        valid = [v[a:b] for v, a, b
+                 in zip(self.leaders, self.valid_start, self.valid_stop)]
+        valid = tuple(v if np.minimum.reduce(v, initial=math.inf) > 0.0
+                      else v[v > 0.0] for v in valid)
         for v in valid:
             v.setflags(write=False)
         return valid
+
+    def _ln_valid(self, j1: int, j2: int) -> list:
+        """ln of the valid leaders of octaves j1..j2, each octave's taken
+        once per pyramid: the structure functions and cumulants share it."""
+        memo = self.__dict__.setdefault("_ln", {})  # as cached_property does
+        return [memo[j] if j in memo else memo.setdefault(j, np.log(v))
+                for j, v in enumerate(self._valid[j1 - 1:j2], start=j1)]
 
 
 def compute_leaders(pyramid: WaveletPyramid, gamma: float) -> LeaderPyramid:
@@ -124,8 +134,8 @@ def compute_leaders(pyramid: WaveletPyramid, gamma: float) -> LeaderPyramid:
     coefficient at any contributing scale are invalid.  Trailing octaves
     with no valid position are dropped.
     """
-    if gamma < 0:
-        raise ParameterError(f"gamma={gamma} must be >= 0")
+    if not 0 <= gamma < math.inf:
+        raise ParameterError(f"gamma={gamma} must be >= 0 and finite")
     if pyramid.max_octave < 2:
         raise ParameterError("leader analysis needs a pyramid with >= 2 octaves")
 
@@ -135,32 +145,28 @@ def compute_leaders(pyramid: WaveletPyramid, gamma: float) -> LeaderPyramid:
     sv = None
     sv_start = sv_stop = 0
     for j in range(1, pyramid.max_octave + 1):
-        weighted = 2.0 ** (gamma * j) * np.abs(pyramid.level(j))
+        sup = np.abs(pyramid.level(j))  # 2^(gamma j) |d|, in place
+        sup *= 2.0 ** (gamma * j)
         w_start = pyramid.valid_start[j - 1]
         w_stop = pyramid.valid_stop[j - 1]
         if j == 1:
-            sv, sv_start, sv_stop = weighted, w_start, w_stop
+            sv_start, sv_stop = w_start, w_stop
         else:
-            n_out = weighted.size
-            child = sv[: 2 * n_out]
-            interval_sup = np.maximum(
-                weighted,
-                np.maximum(child[0::2][:n_out], child[1::2][:n_out]),
-            )
+            n_out = sup.size
+            np.maximum(sup, sv[0:2 * n_out:2], out=sup)
+            np.maximum(sup, sv[1:2 * n_out:2], out=sup)
             # children 2k and 2k+1 must both be valid
-            child_start = (sv_start + 1) // 2
-            child_stop = sv_stop // 2
-            sv = interval_sup
-            sv_start = max(w_start, child_start)
-            sv_stop = min(w_stop, child_stop)
-
-        values = np.zeros_like(sv)
-        if sv.size >= 3:
-            values[1:-1] = np.maximum(sv[:-2], np.maximum(sv[1:-1], sv[2:]))
+            sv_start = max(w_start, (sv_start + 1) // 2)
+            sv_stop = min(w_stop, sv_stop // 2)
+        sv = sup
         start = max(sv_start + 1, 1)
         stop = min(sv_stop - 1, max(sv.size - 1, 0))
         if stop <= start:
             break
+        values = np.empty_like(sv)  # its ends, never valid, are 0
+        values[0] = values[-1] = 0.0
+        np.maximum(sv[:-2], sv[1:-1], out=values[1:-1])
+        np.maximum(values[1:-1], sv[2:], out=values[1:-1])
         values.setflags(write=False)
         leaders.append(values)
         starts.append(start)
@@ -194,12 +200,13 @@ def _moments(leaders: LeaderPyramid, q_grid, j1: int, j2: int) -> tuple:
     if not 1 <= j1 <= j2 <= len(valid):
         raise ScaleRangeError(
             f"octave range ({j1}, {j2}) outside available 1..{len(valid)}")
-    rows = []
-    for v in valid[j1 - 1:j2]:
-        t = np.multiply.outer(q, np.log(v))  # (q, leader), C-contiguous
+    rows = np.empty((j2 - j1 + 1, q.size))
+    for row, ln in zip(rows, leaders._ln_valid(j1, j2)):
+        t = np.multiply.outer(q, ln)  # (q, leader), C-contiguous
         np.exp(t, out=t)
-        rows.append(np.add.reduce(t, -1) / v.size)
-    return q, np.vstack(rows)
+        np.add.reduce(t, -1, out=row)
+        row /= ln.size
+    return q, rows
 
 
 def _zeta(q: np.ndarray, rows: np.ndarray, j1: int, j2: int,
@@ -229,9 +236,9 @@ def log_cumulants(leaders: LeaderPyramid, j1: int, j2: int):
         raise ScaleRangeError(
             f"octave range ({j1}, {j2}) outside available 1..{leaders.max_octave}"
         )
-    valid = leaders._valid[j1 - 1:j2]
-    _require_cumulant_counts([v.size for v in valid], j1)
-    cum = np.array([_k_statistics(np.log(v)) for v in valid])  # (n_octaves, 2)
+    counts = [v.size for v in leaders._valid[j1 - 1:j2]]
+    _require_cumulant_counts(counts, j1)
+    cum = np.array([_k_statistics(ln) for ln in leaders._ln_valid(j1, j2)])
 
     design = _octave_design(j1, j2, math.log(2.0))  # on ln 2^j
     c_p = np.empty(2)
@@ -243,7 +250,7 @@ def log_cumulants(leaders: LeaderPyramid, j1: int, j2: int):
     c_p[0] -= leaders.gamma
     diagnostics = {
         "r_squared": r2,
-        "counts": np.array([v.size for v in valid]),
+        "counts": np.array(counts),
     }
     return c_p, diagnostics
 
@@ -282,46 +289,60 @@ def legendre_spectrum(zeta_pairs) -> np.ndarray:
     """Discrete Legendre transform D(h) = min_q (1 + q h - zeta(q)).
 
     The h grid spans the range of discrete slopes of zeta with a 0.1 margin;
-    only points with D >= 0 are returned, as (h, D) rows.  A q grid that is
-    all one sign cannot reach both spectrum branches; a warning is emitted
-    and the reachable half is returned.  A zeta that is NaN or infinite
-    raises ParameterError naming its q; finite zetas whose slope between
-    two neighbouring q is not (q closer than about 1e-307) raise naming
-    that pair.
+    only points with D >= 0 are returned, as (h, D) rows, each D the
+    column minimum of one (q, h) table.  A q grid that is all one sign
+    cannot reach both spectrum branches; a warning is emitted and the
+    reachable half is returned.  A zeta that is NaN or infinite raises
+    ParameterError naming its q; finite zetas whose slope between two
+    neighbouring q is not finite, or overflows the table (q closer than
+    about 1e-307), raise naming that pair.
     """
     pairs = np.asarray(zeta_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ParameterError("zeta_pairs must be an (n, 2) array")
-    _check_q_grid(pairs[:, 0])
-    order = np.argsort(pairs[:, 0])
-    q = pairs[order, 0]
-    zeta = pairs[order, 1]
-    if q.min() >= 0 or q.max() <= 0:
+    order, q, steps = _q_plan(pairs[:, 0].tobytes())
+    if q[0] >= 0 or q[-1] <= 0:
         warnings.warn(
             "q grid is single-signed; only one branch of D(h) is reachable",
             stacklevel=2,
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = np.diff(zeta) / np.diff(q)
-    lo, hi = slopes.min(), slopes.max()  # not finite if a zeta or slope is not
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad = np.flatnonzero(~np.isfinite(zeta))
-        if bad.size:
-            raise ParameterError(f"zeta({q[bad[0]]:g}) = {zeta[bad[0]]} is not "
+    zeta = pairs[order, 1]
+    qs, z = q.tolist(), zeta.tolist()  # Python floats overflow to inf quietly
+    slopes = [(b - a) / d for a, b, d in zip(z, z[1:], steps)]
+    lo = min(slopes) - LEGENDRE_MARGIN
+    hi = max(slopes) + LEGENDRE_MARGIN
+    # each table row is monotone in h: its extremes are at lo and hi
+    ends = [qk * h + 1.0 - zk for qk, zk in zip(qs, z) for h in (lo, hi)]
+    if not all(map(math.isfinite, z + slopes + ends + [hi - lo])):
+        bad = [k for k, zk in enumerate(z) if not math.isfinite(zk)]
+        if bad:
+            raise ParameterError(f"zeta({qs[bad[0]]:g}) = {z[bad[0]]} is not "
                                  "finite; D(h) needs finite exponents")
-        i = int(np.flatnonzero(~np.isfinite(slopes))[0])
-        a, b = q[i:i + 2].tolist()
-        raise ParameterError(f"q_grid: the slope of zeta between q = {a!r} and "
-                             f"q = {b!r} is {slopes[i]}; D(h) needs finite "
-                             "slopes, so q values this close cannot be used")
-    h_grid = np.linspace(lo - LEGENDRE_MARGIN, hi + LEGENDRE_MARGIN,
-                         LEGENDRE_GRID_SIZE)
-    # a running minimum over q, with no (h, q) table
-    d_vals = np.full_like(h_grid, np.inf)
-    for q_k, zeta_k in zip(q.tolist(), zeta.tolist()):
-        np.minimum(d_vals, h_grid * q_k + 1.0 - zeta_k, out=d_vals)
-    keep = d_vals >= 0.0
-    return np.column_stack([h_grid[keep], d_vals[keep]])
+        i = max(range(len(slopes)), key=lambda k: abs(slopes[k]))  # 1st inf
+        need = ("finite slopes" if math.isinf(slopes[i])
+                else "a finite h grid and 1 + q h - zeta(q)")
+        raise ParameterError(f"q_grid: the slope of zeta between q = {qs[i]!r} "
+                             f"and q = {qs[i + 1]!r} is {slopes[i]}; D(h) needs "
+                             f"{need}, so q values this close cannot be used")
+    h_grid = np.linspace(lo, hi, LEGENDRE_GRID_SIZE)
+    table = np.multiply.outer(q, h_grid)
+    table += 1.0
+    table -= zeta[:, None]
+    d_vals = np.minimum.reduce(table, axis=0)
+    return np.column_stack([h_grid, d_vals])[d_vals >= 0.0]
+
+
+@lru_cache(maxsize=8)
+def _q_plan(q_bytes: bytes) -> tuple:
+    """(order, q sorted, its steps) of the float64 q grid in q_bytes,
+    checked by _check_q_grid once per grid; arrays read-only."""
+    q = np.frombuffer(q_bytes)
+    _check_q_grid(q)
+    order = np.argsort(q)
+    q = q[order]
+    for a in (order, q):
+        a.setflags(write=False)
+    return order, q, tuple(np.diff(q).tolist())
 
 
 @dataclass(frozen=True)

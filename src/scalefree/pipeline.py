@@ -21,7 +21,7 @@ import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -512,14 +512,14 @@ def analyze_series(signal: Signal, config: AnalysisConfig) -> MfEstimate:
             gamma_mode=config.gamma_mode, gamma_value=config.gamma_value,
             gamma_eps=config.gamma_eps, reference_shift=shift,
         )
-        diagnostics = dict(estimate.diagnostics)
-        diagnostics["spectrum_fit"] = fit
-        diagnostics["spectrum_rows"] = rows
-        diagnostics["welch_beta"] = _welch_beta_crosscheck(signal, config)
-        return replace(
-            estimate, beta=hurst.beta, hurst=hurst.hurst,
-            stationary=hurst.stationary, diagnostics=diagnostics,
-        )
+        # the estimate is new and held nowhere else: fill in the spectrum
+        # path's fields rather than copy it
+        estimate.diagnostics.update(
+            spectrum_fit=fit, spectrum_rows=rows,
+            welch_beta=_welch_beta_crosscheck(signal, config))
+        for name, value in zip(hurst._fields, hurst):
+            object.__setattr__(estimate, name, value)
+        return estimate
     except ScaleFreeError as exc:
         if signal.label and signal.label not in str(exc):
             raise type(exc)(f"{signal.label}: {exc}") from exc

@@ -45,8 +45,7 @@ class SpectrumEstimate:
         object.__setattr__(self, "power", p)
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """OLS fit of log2(value) against octave index."""
 
     slope: float
@@ -112,8 +111,10 @@ def welch_psd(signal: Signal, segment_length: int | None = None,
     segments = as_strided(x, (n_segments, segment_length), (step * stride, stride),
                           writeable=False)
     segments = segments - np.add.reduce(segments, -1, keepdims=True) / segment_length
-    spectra = np.fft.rfft(segments * win, axis=-1)
-    power = spectra.real**2 + spectra.imag**2
+    segments *= win
+    spectra = np.fft.rfft(segments, axis=-1)
+    power = np.square(spectra.real)
+    power += np.square(spectra.imag)
     power[:, 1:None if segment_length % 2 else -1] *= 2
     power = np.add.reduce(np.ascontiguousarray(power.T), -1) / n_segments
     return SpectrumEstimate(frequencies=freqs, power=power[1:])
@@ -226,21 +227,21 @@ def _ols_fit(design: tuple, y: np.ndarray):
     draws and a left-to-right sum on 12,353; the means of 15 q columns by
     one w @ Y matched per-column dots only at 4 octaves, by a row-by-row
     sum only at 4 and 8, where 1/n is a power of two.
-    """
+
+    r^2 and the stderr take dot(dy, dy) and dot(r, r), r = dy - slope dx
+    about the means, which round unlike the residuals y - (intercept +
+    slope x); slope and intercept never read them."""
     x, w, xbar, dx, sxx = design
     ybar = float(np.dot(w, y))
     dy = y - ybar
     slope = float(np.dot(w, dx * dy)) / sxx
     intercept = ybar - slope * xbar
-    resid = y - (intercept + slope * x)
+    r = dy - slope * dx
+    ss_res = float(np.dot(r, r))
+    ss_tot = float(np.dot(dy, dy))
     n = x.size
-    ss_res = float(np.dot(w, resid**2)) * n
-    ss_tot = float(np.dot(w, dy**2)) * n
     r_squared = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-    if n > 2:
-        stderr = math.sqrt(max(ss_res, 0.0) / (n - 2) / (n * sxx))
-    else:
-        stderr = float("nan")
+    stderr = math.sqrt(ss_res / (n - 2) / (n * sxx)) if n > 2 else math.nan
     return slope, intercept, stderr, r_squared
 
 
@@ -270,10 +271,7 @@ def fit_loglog(values, j1: int, j2: int) -> ScalingFit:
             f"nonpositive value at octave {j1 + int(bad[0])}; cannot take log2"
         )
     slope, intercept, stderr, r2 = _ols_fit(_octave_design(j1, j2), np.log2(vals))
-    return ScalingFit(
-        slope=slope, intercept=intercept, stderr_slope=stderr,
-        octave_range=(j1, j2), r_squared=r2, n_points=vals.size,
-    )
+    return ScalingFit(slope, intercept, stderr, (j1, j2), r2, vals.size)
 
 
 def estimate_hurst(fit: ScalingFit) -> HurstEstimate:

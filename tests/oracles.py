@@ -154,9 +154,9 @@ def anova_by_hand(cells):
 
 
 def legendre_by_outer_product(zeta_pairs):
-    """D(h) rows as the library computed them before the running minimum:
-    min over q of the whole (h, q) table 1 + outer(h, q) - zeta, on the
-    same h grid and with the same D >= 0 cut."""
+    """D(h) rows as min over q of the whole (h, q) table
+    1 + outer(h, q) - zeta, built in one expression, on the same h grid and
+    with the same D >= 0 cut as legendre_spectrum."""
     from scalefree.leaders_mf import LEGENDRE_GRID_SIZE, LEGENDRE_MARGIN
     pairs = np.asarray(zeta_pairs, dtype=np.float64)
     order = np.argsort(pairs[:, 0])

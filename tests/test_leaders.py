@@ -19,7 +19,8 @@ from scalefree.synth import GeneratorSpec, gen_fbm, gen_fgn, gen_mrw
 from scalefree.wavelet import Signal, WaveletPyramid, build_wavelet, dwt
 
 from oracles import assert_leaders_match_oracle as assert_matches_oracle
-from oracles import legendre_by_outer_product, valid_leaders_before
+from oracles import (brute_force_leaders, legendre_by_outer_product,
+                     valid_leaders_before)
 
 
 def make_pyramid(coeff_arrays, wavelet, source_length=None):
@@ -153,6 +154,19 @@ class TestComputeLeaders:
                 continue
             p = dwt(Signal(x, 1.0, f"trial{trial}"), w, max_j)
             assert_matches_oracle(p, gamma)
+        # octaves of 1, 2 and 3 coefficients, of whole-valid arrays and of
+        # dwt; an array of 2 or fewer has no leader with both neighbours
+        short = [make_pyramid([rng.standard_normal(m) for m in sizes],
+                              build_wavelet(1))
+                 for sizes in ([2, 1], [3, 1], [4, 2, 1], [6, 3, 1])]
+        short += [dwt(Signal(rng.standard_normal(n), 1.0), build_wavelet(1), 2)
+                  for n in (8, 12, 16, 24)]
+        for p in short:
+            if any(ok.any() for _, ok in brute_force_leaders(p, gamma)):
+                assert_matches_oracle(p, gamma)
+            else:
+                with pytest.raises(ScaleRangeError, match="no octave"):
+                    compute_leaders(p, gamma)
 
     def test_monotone_nesting_gamma0(self, db3):
         sig = gen_fgn(GeneratorSpec("fgn", 0.6, 2**12, seed=3))
@@ -168,23 +182,45 @@ class TestComputeLeaders:
 
     def test_valid_values_filtered_once_and_read_only(self, db3):
         """Each octave's valid, positive leaders are filtered once per
-        pyramid, equal the per-call filter and cannot be written."""
+        pyramid, equal the per-call filter and cannot be written; an octave
+        with no zero leader is the slice of its leaders itself, and one
+        with only zero leaders is empty and fails the moments alone."""
         x = gen_fgn(GeneratorSpec("fgn", 0.6, 2048, seed=4)).samples
         x[512:1024] = 0.0  # leaders inside a silent stretch are exactly zero
-        leaders = compute_leaders(dwt(Signal(x, 1.0), db3, 7), 0.0)
-        span = leaders.valid_stop[0] - leaders.valid_start[0]
-        assert leaders.valid_values(1).size < span
+        pyramid = dwt(Signal(x, 1.0), db3, 7)
+        leaders = compute_leaders(pyramid, 0.0)
+        views = 0
         for j in range(1, leaders.max_octave + 1):
             valid = leaders.valid_values(j)
             assert leaders.valid_values(j) is valid
             assert valid.tobytes() == valid_leaders_before(leaders, j).tobytes()
+            assert (valid > 0.0).all()
             with pytest.raises(ValueError, match="read-only"):
                 valid[0] = 1.0
+            span = leaders.valid_stop[j - 1] - leaders.valid_start[j - 1]
+            views += np.shares_memory(valid, leaders.level(j))
+            assert np.shares_memory(valid, leaders.level(j)) == (valid.size
+                                                                 == span)
+        assert 0 < views < leaders.max_octave  # both kinds are seen
+        silent = compute_leaders(replace(pyramid, coeffs=(
+            np.zeros_like(pyramid.coeffs[0]),) + pyramid.coeffs[1:]), 0.0)
+        empty = silent.valid_values(1)
+        assert empty.size == 0 and not empty.flags.writeable
+        for j in range(2, silent.max_octave + 1):
+            assert (silent.valid_values(j).tobytes()
+                    == valid_leaders_before(silent, j).tobytes())
+        with pytest.raises(ScaleRangeError,
+                           match="^octave 1 has no valid leaders$"):
+            _moments(silent, DEFAULT_Q_GRID, 3, 6)
 
     def test_negative_gamma_rejected(self, db3):
+        """A negative or non-finite gamma raises naming it, in place of
+        all-inf leaders (inf) or none valid (nan)."""
         p = dwt(gen_fgn(GeneratorSpec("fgn", 0.5, 512, seed=0)), db3, 4)
-        with pytest.raises(ParameterError):
-            compute_leaders(p, -0.5)
+        for gamma in (-0.5, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match=(
+                    f"gamma={gamma} must be >= 0 and finite")):
+                compute_leaders(p, gamma)
 
     def test_needs_two_octaves(self, db3):
         p = dwt(gen_fgn(GeneratorSpec("fgn", 0.5, 512, seed=0)), db3, 4)
@@ -418,6 +454,20 @@ class TestSpectra:
             "inf; D(h) needs finite slopes, so q values this close cannot "
             "be used")
 
+    def test_legendre_names_q_pair_whose_table_overflows(self):
+        """Finite slopes so large that 1 + q h - zeta(q) overflows raise
+        naming the pair with the largest slope, with no RuntimeWarning, in
+        place of a D(h) with no rows."""
+        q = np.array([-1.0, 0.0, 2.2250738585072014e-308, 1.0, 4.0])
+        zeta = np.array([-1.0, 0.0, 1.0, 1.0, 2.0])
+        with pytest.raises(ParameterError) as exc:
+            legendre_spectrum(np.column_stack([q, zeta]))
+        assert str(exc.value) == (
+            "q_grid: the slope of zeta between q = 0.0 and q = "
+            "2.2250738585072014e-308 is 4.49423283715579e+307; D(h) needs a "
+            "finite h grid and 1 + q h - zeta(q), so q values this close "
+            "cannot be used")
+
     def test_legendre_single_signed_grid_warns(self):
         pairs = np.array([[q, 0.6 * q] for q in (0.5, 1.0, 2.0, 3.0)])
         with pytest.warns(UserWarning, match="single-signed"):
@@ -432,27 +482,24 @@ class TestSpectra:
            shuffle=st.randoms(use_true_random=False))
     @example(q=[-1.0, 0.0, 2.2250738585072014e-308],
              zeta=[-1.0, 0.0, 5.0] + [0.0] * 13, shuffle=random.Random(0))
+    @example(q=[-1.0, 0.0, 2.2250738585072014e-308, 1.0, 4.0],
+             zeta=[-1.0, 0.0, 1.0, 1.0, 2.0] + [0.0] * 11,
+             shuffle=random.Random(0))
     @settings(max_examples=200, deadline=None)
     def test_legendre_equals_outer_product_bitwise(self, q, zeta, shuffle):
-        """The running minimum over q gives the D(h) rows of the whole
-        (h, q) table bit for bit, on mixed-sign grids in any order; q so
-        close that a slope overflows raises instead."""
+        """The one (q, h) table gives the D(h) rows of the whole (h, q)
+        table bit for bit, on mixed-sign grids in any order; q so close
+        that a slope or the table overflows raises instead."""
         pairs = np.column_stack([q, zeta[:len(q)]])
         pairs = pairs[shuffle.sample(range(len(q)), len(q))]
-        order = np.argsort(pairs[:, 0])
-        with np.errstate(over="ignore"):
-            slopes = np.diff(pairs[order, 1]) / np.diff(pairs[order, 0])
-        if not np.isfinite(slopes).all():
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                expected = legendre_by_outer_product(pairs)
+        except FloatingPointError:
             with pytest.raises(ParameterError, match="slope of zeta between"):
                 legendre_spectrum(pairs)
             return
-        # A finite but huge slope (q about 2.2e-308 apart) overflows the h
-        # grid and h * q in both computations; that case is not handled, so
-        # it may overflow quietly here.
-        quiet = "ignore" if np.abs(slopes).max() > 1e300 else "warn"
-        with np.errstate(over=quiet, invalid=quiet):
-            assert (legendre_spectrum(pairs).tobytes()
-                    == legendre_by_outer_product(pairs).tobytes())
+        assert legendre_spectrum(pairs).tobytes() == expected.tobytes()
 
     def test_spectrum_width_grows_with_intermittency(self, db3):
         # width of {h : D(h) >= 0.9} tracks the cascade strength
@@ -480,7 +527,8 @@ class TestMultifractalEstimate:
     def test_fitted_octaves_equal_full_rows(self, db3, j1, width, kind, seed,
                                             gamma, shift):
         """Moments of octaves j1..j2 only give the estimates of moments of
-        every octave, bit for bit."""
+        every octave, bit for bit, and the ln L those took for every octave
+        give the cumulants of octaves j1..j2."""
         j2 = j1 + width
         spec = GeneratorSpec(kind, 0.7, 2048, seed=seed,
                              lambda2=0.05 if kind == "mrw" else 0.0)
@@ -490,7 +538,10 @@ class TestMultifractalEstimate:
                                     gamma_value=gamma[1],
                                     reference_shift=shift)
         q = np.array(DEFAULT_Q_GRID)
-        values = moments(compute_leaders(pyramid, est.gamma), q)
+        leaders = compute_leaders(pyramid, est.gamma)
+        values = moments(leaders, q)
+        c_p = log_cumulants(leaders, j1, j2)[0]
+        assert [c_p[0] + shift, c_p[1]] == [est.c1, est.c2]
         fits = [fit_loglog(values[j1 - 1:j2, iq], j1, j2)
                 for iq in range(q.size)]
         zeta = np.empty((q.size, 2))
