@@ -24,10 +24,11 @@ from .errors import DataFormatError, ScaleFreeError
 from .grouptests import _check_alpha_levels, run_battery
 from .pipeline import (AnalysisConfig, _csv_rows, _parse_cell, _spectrum_rows,
                        load_estimates_csv, load_taxonomy, run_full_analysis)
-from .scaling import (WINDOWS, _check_octaves, fit_psd_powerlaw,
-                      scale_to_frequency, welch_psd)
+from .scaling import (WINDOWS, _check_octaves, _check_welch,
+                      fit_psd_powerlaw, scale_to_frequency, welch_psd)
 from .synth import GeneratorSpec, generate
-from .wavelet import Signal, _check_rate, build_wavelet, dwt
+from .wavelet import (Signal, _check_rate, _check_vanishing, build_wavelet,
+                      dwt)
 
 
 def _write(path, text: str) -> None:
@@ -82,10 +83,15 @@ def _read_column(path, column):
 def _cmd_spectrum(args) -> int:
     _check_rate(args.rate, "--rate: ")
     _check_octaves(args.j1, args.j2, "--j1/--j2: ")
+    _check_vanishing(args.vanishing, "--vanishing: ")
+    if args.method == "welch":
+        _check_welch(None, args.overlap, args.window, prefix="--overlap: ")
     samples = _read_column(args.infile, args.column)
     signal = Signal(samples, args.rate, label=args.column)
     rows = []
     if args.method == "welch":
+        _check_welch(args.segment_length, args.overlap, args.window,
+                     len(signal), "--segment-length: ")
         spectrum = welch_psd(signal, segment_length=args.segment_length,
                              overlap_fraction=args.overlap, window=args.window)
         f_lo = scale_to_frequency(args.j2, args.rate)

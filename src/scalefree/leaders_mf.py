@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,7 +118,7 @@ class LeaderPyramid:
             v.setflags(write=False)
         return valid
 
-    def _ln_valid(self, j1: int, j2: int) -> list:
+    def _log_leaders(self, j1: int, j2: int) -> list:
         """ln of the valid leaders of octaves j1..j2, each octave's taken
         once per pyramid: the structure functions and cumulants share it."""
         memo = self.__dict__.setdefault("_ln", {})  # as cached_property does
@@ -201,7 +202,7 @@ def _moments(leaders: LeaderPyramid, q_grid, j1: int, j2: int) -> tuple:
         raise ScaleRangeError(
             f"octave range ({j1}, {j2}) outside available 1..{len(valid)}")
     rows = np.empty((j2 - j1 + 1, q.size))
-    for row, ln in zip(rows, leaders._ln_valid(j1, j2)):
+    for row, ln in zip(rows, leaders._log_leaders(j1, j2)):
         t = np.multiply.outer(q, ln)  # (q, leader), C-contiguous
         np.exp(t, out=t)
         np.add.reduce(t, -1, out=row)
@@ -238,7 +239,7 @@ def log_cumulants(leaders: LeaderPyramid, j1: int, j2: int):
         )
     counts = [v.size for v in leaders._valid[j1 - 1:j2]]
     _require_cumulant_counts(counts, j1)
-    cum = np.array([_k_statistics(ln) for ln in leaders._ln_valid(j1, j2)])
+    cum = np.array([_k_statistics(ln) for ln in leaders._log_leaders(j1, j2)])
 
     design = _octave_design(j1, j2, math.log(2.0))  # on ln 2^j
     c_p = np.empty(2)
@@ -345,8 +346,7 @@ def _q_plan(q_bytes: bytes) -> tuple:
     return order, q, tuple(np.diff(q).tolist())
 
 
-@dataclass(frozen=True)
-class MfEstimate:
+class MfEstimate(NamedTuple):
     """Scale-free fingerprint of one series.
 
     zeta holds (q, zeta_hat) rows after the gamma correction and reference

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (DataFormatError, EstimationError, ParameterError,
-                     ScaleFreeError, ScaleRangeError)
+                     ScaleFreeError)
 from .grouptests import (CLASSES, PARAMS, STATES, BatteryReport, GroupSummary,
                          GroupTable, MapTaxonomy, _check_alpha_levels,
                          _check_class, aggregate, run_battery)
@@ -40,8 +40,8 @@ from .scaling import (_check_octaves, _check_welch, estimate_hurst,
                       fit_loglog, fit_psd_powerlaw, scale_to_frequency,
                       welch_psd, wavelet_spectrum)
 from .synth import GeneratorSpec, generate
-from .wavelet import (MAX_VANISHING, MotherWavelet, Signal, _check_rate,
-                      _check_vanishing, build_wavelet, dwt,
+from .wavelet import (MAX_VANISHING, MotherWavelet, Signal, _check_feasible,
+                      _check_rate, _check_vanishing, build_wavelet, dwt,
                       max_feasible_octave, sup_magnitudes)
 
 DEFAULT_SYNTHETIC = {
@@ -130,7 +130,8 @@ class AnalysisConfig:
         _check_vanishing(self.n_vanishing, "config key ")
         _check_alpha_levels(self.alpha_levels, "config key ")
         if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
+            raise ParameterError(
+                f"config key workers: {self.workers} must be >= 1")
         _check_gamma(self.gamma_mode, self.gamma_value, self.gamma_eps,
                      "config key gamma.")
         _check_welch(self.welch_segment_length, self.welch_overlap,
@@ -512,14 +513,12 @@ def analyze_series(signal: Signal, config: AnalysisConfig) -> MfEstimate:
             gamma_mode=config.gamma_mode, gamma_value=config.gamma_value,
             gamma_eps=config.gamma_eps, reference_shift=shift,
         )
-        # the estimate is new and held nowhere else: fill in the spectrum
-        # path's fields rather than copy it
+        # the estimate's diagnostics are new and held nowhere else: fill in
+        # the spectrum path's entries rather than copy them
         estimate.diagnostics.update(
             spectrum_fit=fit, spectrum_rows=rows,
             welch_beta=_welch_beta_crosscheck(signal, config))
-        for name, value in zip(hurst._fields, hurst):
-            object.__setattr__(estimate, name, value)
-        return estimate
+        return estimate._replace(**hurst._asdict())
     except ScaleFreeError as exc:
         if signal.label and signal.label not in str(exc):
             raise type(exc)(f"{signal.label}: {exc}") from exc
@@ -632,12 +631,8 @@ def _require_feasible(n: int, config: AnalysisConfig) -> None:
     j1, j2 = config.octave_range
     _check_welch(config.welch_segment_length, config.welch_overlap,
                  config.welch_window, n, "config key welch.")
-    feasible = max_feasible_octave(n, _wavelet(config.n_vanishing))
-    if j2 > feasible:
-        raise ScaleRangeError(
-            f"length {n} supports octaves up to {feasible}, "
-            f"configured range is {config.octave_range}"
-        )
+    _check_feasible(n, _wavelet(config.n_vanishing), j2,
+                    "config key octave_range: ")
     spans = _leader_spans(n, config.n_vanishing)
     _require_cumulant_counts(spans[j1 - 1:j2], j1, prefix=f"length {n}: ")
 

@@ -62,8 +62,7 @@ class HurstEstimate(NamedTuple):
     stationary: bool
 
 
-@dataclass(frozen=True)
-class PsdPowerLawFit:
+class PsdPowerLawFit(NamedTuple):
     """OLS fit of log2(power) against log2(frequency); beta = -slope."""
 
     beta: float

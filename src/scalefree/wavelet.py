@@ -182,28 +182,18 @@ class WaveletPyramid:
 
     coeffs[j-1][k] nominally covers samples [k 2^j, (k+1) 2^j); positions
     outside [valid_start[j-1], valid_stop[j-1]) are boundary-affected and
-    must not enter any statistic.
+    must not enter any statistic.  source_scale is the input's largest
+    magnitude, against which vanishing coefficients are judged.
     """
 
     coeffs: tuple
     valid_start: tuple
     valid_stop: tuple
-    source_length: int
-    sampling_rate: float
-    wavelet: MotherWavelet
     source_scale: float = 1.0
-    label: str = ""
 
     @property
     def max_octave(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def n_valid(self) -> tuple:
-        return tuple(
-            max(0, stop - start)
-            for start, stop in zip(self.valid_start, self.valid_stop)
-        )
 
     def level(self, j: int) -> np.ndarray:
         """All coefficients at octave j (including boundary-affected ones)."""
@@ -211,14 +201,9 @@ class WaveletPyramid:
             raise ScaleRangeError(f"octave {j} outside 1..{self.max_octave}")
         return self.coeffs[j - 1]
 
-    def valid_slice(self, j: int) -> slice:
-        if not 1 <= j <= self.max_octave:
-            raise ScaleRangeError(f"octave {j} outside 1..{self.max_octave}")
-        return slice(self.valid_start[j - 1], self.valid_stop[j - 1])
-
     def valid_values(self, j: int) -> np.ndarray:
         """Boundary-free coefficients at octave j."""
-        return self.level(j)[self.valid_slice(j)]
+        return self.level(j)[self.valid_start[j - 1]:self.valid_stop[j - 1]]
 
     @cached_property
     def _sups(self) -> dict:
@@ -231,6 +216,17 @@ def max_feasible_octave(n_samples: int, wavelet: MotherWavelet) -> int:
     if n_samples < 2 * wavelet.support_length:
         return 0
     return int(math.floor(math.log2(n_samples / wavelet.support_length)))
+
+
+def _check_feasible(n: int, wavelet: MotherWavelet, max_octave: int,
+                    prefix: str) -> None:
+    """The feasibility rule: n samples carry octaves up to
+    max_feasible_octave; ScaleRangeError, prefixed, beyond it."""
+    feasible = max_feasible_octave(n, wavelet)
+    if max_octave > feasible:
+        raise ScaleRangeError(
+            f"{prefix}length {n} supports octaves up to {feasible} with "
+            f"{wavelet.name}, requested {max_octave}")
 
 
 def dwt(signal: Signal, wavelet: MotherWavelet, max_octave: int) -> WaveletPyramid:
@@ -246,52 +242,29 @@ def dwt(signal: Signal, wavelet: MotherWavelet, max_octave: int) -> WaveletPyram
     """
     if max_octave < 1:
         raise ParameterError("max_octave must be >= 1")
-    n = len(signal)
-    feasible = max_feasible_octave(n, wavelet)
-    if max_octave > feasible:
-        raise ScaleRangeError(
-            f"signal {signal.label!r} of length {n} supports at most octave "
-            f"{feasible} with {wavelet.name} (requested {max_octave})"
-        )
-
-    layout = _dwt_layout(n, wavelet.support_length, max_octave)
-    if len(layout) < max_octave:
-        j = len(layout) + 1
-        raise ScaleRangeError(
-            f"signal {signal.label!r}: no boundary-free coefficients at "
-            f"octave {j}; maximum feasible octave is {j - 1}"
-        )
+    _check_feasible(len(signal), wavelet, max_octave,
+                    f"signal {signal.label!r}: ")
+    layout = _dwt_layout(len(signal), wavelet.support_length, max_octave)
     approx = signal.samples
     coeffs = []
     for phase, _, _, scale in layout:
         coeffs.append(np.convolve(approx, wavelet.highpass_taps)[phase] * scale)
         coeffs[-1].setflags(write=False)
         approx = np.convolve(approx, wavelet.lowpass_taps)[phase]
-    pyramid = WaveletPyramid(
+    return WaveletPyramid(
         coeffs=tuple(coeffs),
         valid_start=tuple(a for _, a, _, _ in layout),
         valid_stop=tuple(b for _, _, b, _ in layout),
-        source_length=n,
-        sampling_rate=signal.sampling_rate,
-        wavelet=wavelet,
         source_scale=float(np.max(np.abs(signal.samples))),
-        label=signal.label,
     )
-    n_valid = pyramid.n_valid
-    if any(b >= a for a, b in zip(n_valid, n_valid[1:])):
-        raise ScaleRangeError(
-            f"signal {signal.label!r}: valid coefficient counts {n_valid} are "
-            "not strictly decreasing; reduce max_octave"
-        )
-    return pyramid
 
 
 @lru_cache(maxsize=32)
 def _dwt_layout(n: int, m: int, max_octave: int) -> tuple:
-    """Per octave j from 1 of a transform of n samples with m taps: (slice
-    of the kept phase t = 2k + 1 of the full convolution, valid start, valid
-    stop, L1 rescaling 2^(-j/2)), up to max_octave or the first octave with
-    no boundary-free coefficient, which is left out."""
+    """Per octave j = 1..max_octave of a transform of n samples with m taps:
+    (slice of the kept phase t = 2k + 1 of the full convolution, valid
+    start, valid stop, L1 rescaling 2^(-j/2)); up to max_feasible_octave
+    every octave keeps at least 2 boundary-free coefficients."""
     layout = []
     a_first, a_last = 0, n - 1  # approximation samples free of the boundary
     for j in range(1, max_octave + 1):
@@ -299,8 +272,6 @@ def _dwt_layout(n: int, m: int, max_octave: int) -> tuple:
         # output t depends on inputs t-m+1 .. t: valid t in [a_first + m - 1, a_last]
         a_first = max(0, math.ceil((a_first + m - 2) / 2))
         a_last = min(n - 1, (a_last - 1) // 2)
-        if a_last < a_first:
-            break
         layout.append((slice(1, 2 * n, 2), a_first, a_last + 1, 2.0 ** (-j / 2.0)))
     return tuple(layout)
 

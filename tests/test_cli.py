@@ -124,8 +124,8 @@ class TestSpectrumCommand:
                          "--out", str(tmp_path / "x.csv")])
             err = capsys.readouterr().err
             assert code == 1
-            assert err == (f"error: segment_length: {segment_length} "
-                           "outside 2..4096 (signal length)\n")
+            assert err == (f"error: --segment-length: segment_length: "
+                           f"{segment_length} outside 2..4096 (signal length)\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_rejects_non_finite_rate(self, tmp_path, signal_csv, capsys):
@@ -138,18 +138,26 @@ class TestSpectrumCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_octave_range_rejected_before_reading(self, tmp_path, capsys):
-        """The config's octave-range rule, before the input file is read:
-        octave 0 used to wrap to the last octave, and j1 > j2 reached the
-        Welch fit as an invalid band."""
-        for j1, j2 in ((0, 6), (6, 3), (5, 6)):
-            for method in ("welch", "wavelet"):
-                code = main(["spectrum", "--in", str(tmp_path / "none.csv"),
-                             "--method", method, "--j1", str(j1),
-                             "--j2", str(j2), "--out", str(tmp_path / "x.csv")])
-                assert code == 1
-                assert capsys.readouterr().err == (
-                    f"error: --j1/--j2: octave_range: ({j1}, {j2}) must have "
-                    "1 <= j1 <= j2 - 2\n")
+        """The config's octave-range, vanishing-moment and overlap rules,
+        before the input file is read, each error naming its flag: octave 0
+        used to wrap to the last octave, and j1 > j2 reached the Welch fit
+        as an invalid band."""
+        cases = [(["--j1", str(j1), "--j2", str(j2)], method,
+                  f"--j1/--j2: octave_range: ({j1}, {j2}) must have "
+                  "1 <= j1 <= j2 - 2")
+                 for j1, j2 in ((0, 6), (6, 3), (5, 6))
+                 for method in ("welch", "wavelet")]
+        cases += [(["--vanishing", "0"], method,
+                   "--vanishing: n_vanishing: 0 outside 1..10")
+                  for method in ("welch", "wavelet")]
+        cases.append((["--overlap", "1.5"], "welch",
+                      "--overlap: overlap_fraction: 1.5 outside [0, 1)"))
+        for flags, method, message in cases:
+            code = main(["spectrum", "--in", str(tmp_path / "none.csv"),
+                         "--method", method, *flags,
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_column(self, tmp_path, signal_csv, capsys):

@@ -23,23 +23,19 @@ from oracles import (brute_force_leaders, legendre_by_outer_product,
                      valid_leaders_before)
 
 
-def make_pyramid(coeff_arrays, wavelet, source_length=None):
+def make_pyramid(coeff_arrays):
     """Fully valid synthetic pyramid for closed-form leader tests."""
     arrays = tuple(np.asarray(a, dtype=np.float64) for a in coeff_arrays)
-    n = source_length if source_length else 2 * arrays[0].size
     return WaveletPyramid(
         coeffs=arrays,
         valid_start=tuple(0 for _ in arrays),
         valid_stop=tuple(a.size for a in arrays),
-        source_length=n,
-        sampling_rate=1.0,
-        wavelet=wavelet,
         source_scale=max(float(np.max(np.abs(a))) for a in arrays) or 1.0,
     )
 
 
 class TestGlobalRegularity:
-    def test_exact_sup_sequence(self, db3):
+    def test_exact_sup_sequence(self):
         # craft levels whose sup is exactly 2^(0.3 j)
         arrays = []
         rng = np.random.default_rng(0)
@@ -48,7 +44,7 @@ class TestGlobalRegularity:
             a = rng.uniform(0.0, 0.5, n_j) * 2.0 ** (0.3 * j)
             a[n_j // 2] = 2.0 ** (0.3 * j)
             arrays.append(a)
-        p = make_pyramid(arrays, db3, source_length=2**10)
+        p = make_pyramid(arrays)
         assert global_regularity(p, 1, 6) == pytest.approx(0.3, abs=1e-12)
 
     def test_fbm_regularity_near_h(self, db3):
@@ -111,12 +107,12 @@ class TestSelectGamma:
 
 
 class TestComputeLeaders:
-    def test_single_nonzero_coefficient(self, haar):
+    def test_single_nonzero_coefficient(self):
         n = 256
         k0 = 100
         arrays = [np.zeros(n // 2**j) for j in range(1, 6)]
         arrays[0][k0] = 1.0
-        p = make_pyramid(arrays, haar, source_length=n)
+        p = make_pyramid(arrays)
         leaders = compute_leaders(p, 0.0)
         for j in range(1, leaders.max_octave + 1):
             level = leaders.level(j)
@@ -133,10 +129,10 @@ class TestComputeLeaders:
             assert np.all(valid == 1.0)
         assert_matches_oracle(p, 0.0)
 
-    def test_all_equal_magnitudes(self, haar):
+    def test_all_equal_magnitudes(self):
         m = 0.37
         arrays = [np.full(128 // 2**j, m) * (-1.0) ** j for j in range(1, 5)]
-        p = make_pyramid(arrays, haar, source_length=128)
+        p = make_pyramid(arrays)
         leaders = compute_leaders(p, 0.0)
         for j in range(1, leaders.max_octave + 1):
             assert np.all(leaders.valid_values(j) == m)
@@ -156,8 +152,7 @@ class TestComputeLeaders:
             assert_matches_oracle(p, gamma)
         # octaves of 1, 2 and 3 coefficients, of whole-valid arrays and of
         # dwt; an array of 2 or fewer has no leader with both neighbours
-        short = [make_pyramid([rng.standard_normal(m) for m in sizes],
-                              build_wavelet(1))
+        short = [make_pyramid([rng.standard_normal(m) for m in sizes])
                  for sizes in ([2, 1], [3, 1], [4, 2, 1], [6, 3, 1])]
         short += [dwt(Signal(rng.standard_normal(n), 1.0), build_wavelet(1), 2)
                   for n in (8, 12, 16, 24)]
@@ -226,8 +221,7 @@ class TestComputeLeaders:
         p = dwt(gen_fgn(GeneratorSpec("fgn", 0.5, 512, seed=0)), db3, 4)
         single = WaveletPyramid(
             coeffs=p.coeffs[:1], valid_start=p.valid_start[:1],
-            valid_stop=p.valid_stop[:1], source_length=p.source_length,
-            sampling_rate=1.0, wavelet=p.wavelet, source_scale=p.source_scale)
+            valid_stop=p.valid_stop[:1], source_scale=p.source_scale)
         with pytest.raises(ParameterError, match="2 octaves"):
             compute_leaders(single, 0.0)
 
@@ -245,10 +239,10 @@ def estimate_zeta(pyramid, j1, j2, gamma, q_grid=(-1.0, 1.0, 2.0)):
 
 
 class TestStructureFunctions:
-    def test_constant_leaders_power_law(self, haar):
+    def test_constant_leaders_power_law(self):
         m = 0.37
         arrays = [np.full(256 // 2**j, m) for j in range(1, 5)]
-        p = make_pyramid(arrays, haar, source_length=256)
+        p = make_pyramid(arrays)
         for row in moments(compute_leaders(p, 0.0), [-1.0, 0.0, 1.0, 2.0]):
             assert row[0] == pytest.approx(1 / m)
             assert row[1] == 1.0  # q = 0 exactly

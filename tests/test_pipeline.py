@@ -161,6 +161,13 @@ class TestConfig:
         with pytest.raises(DataFormatError, match=r"gamma\.vlaue"):
             AnalysisConfig.from_dict({"synthetic": {}, "gamma": {"vlaue": 1}})
 
+    def test_workers_named_by_key(self):
+        for workers in (0, -1):
+            with pytest.raises(ParameterError) as exc:
+                AnalysisConfig(synthetic={}, workers=workers)
+            assert str(exc.value) == (
+                f"config key workers: {workers} must be >= 1")
+
     def test_hash_ignores_output_dir_and_workers(self):
         a = AnalysisConfig(synthetic={}, output_dir="x", workers=1)
         b = AnalysisConfig(synthetic={}, output_dir="y", workers=8)
@@ -218,6 +225,16 @@ class TestConfig:
             assert config_msg.startswith(config_prefix), config_msg
             assert layer_msg.startswith(layer_prefix), layer_msg
             assert config_msg[len(config_prefix):] == layer_msg[len(layer_prefix):]
+
+    def test_config_and_dwt_apply_one_feasibility_rule(self):
+        cfg = AnalysisConfig(synthetic={}, octave_range=(3, 8))
+        with pytest.raises(ScaleRangeError) as config_exc:
+            pipeline._require_feasible(384, cfg)
+        with pytest.raises(ScaleRangeError) as layer_exc:
+            dwt(Signal(np.ones(384), 1.0, "x"), build_wavelet(3), 8)
+        rule = "length 384 supports octaves up to 6 with db3, requested 8"
+        assert str(config_exc.value) == "config key octave_range: " + rule
+        assert str(layer_exc.value) == "signal 'x': " + rule
 
     @given(case=st.sampled_from(VALID_CONFIGS), pick=st.integers(0, 10**6),
            mutant=st.sampled_from(CONFIG_MUTANTS))

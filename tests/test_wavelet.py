@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scalefree.errors import ParameterError, ScaleRangeError
-from scalefree.wavelet import (Signal, WaveletPyramid, build_wavelet, dwt,
+from scalefree.wavelet import (MAX_VANISHING, Signal, WaveletPyramid,
+                               _dwt_layout, build_wavelet, dwt,
                                max_feasible_octave, sup_magnitudes)
 
 from oracles import (direct_detail_octave1, dwt_before, dwt_periodic_level,
@@ -134,14 +135,31 @@ class TestDwt:
     def test_n_valid_counts(self, db3):
         p = dwt(Signal(np.random.default_rng(1).standard_normal(1024),
                        1.0, "x"), db3, 6)
-        n_valid = p.n_valid
+        n_valid = [b - a for a, b in zip(p.valid_start, p.valid_stop)]
         for j, count in enumerate(n_valid, start=1):
             assert count <= 1024 // 2**j
         assert all(a > b for a, b in zip(n_valid, n_valid[1:]))
 
+    def test_feasible_layouts_keep_decreasing_valid_counts(self):
+        """Every length the feasibility rule admits gets every octave up to
+        max_feasible_octave, each with at least 2 boundary-free
+        coefficients and fewer than the octave before: dwt needs no check
+        of its own on the counts."""
+        layout = _dwt_layout.__wrapped__  # no churn in the memo
+        for n_vanishing in range(1, MAX_VANISHING + 1):
+            w = build_wavelet(n_vanishing)
+            for n in range(2 * w.support_length, 2**12 + 1):
+                feasible = max_feasible_octave(n, w)
+                octaves = layout(n, w.support_length, feasible)
+                counts = [b - a for _, a, b, _ in octaves]
+                assert len(counts) == feasible, (n, n_vanishing)
+                assert all(a > b for a, b in zip(counts, counts[1:])), (
+                    n, n_vanishing, counts)
+                assert counts[-1] >= 2, (n, n_vanishing, counts)
+
     def test_too_short_names_feasible_octave(self, db3):
         # 384 = 6 * 2^6 exactly, so octave 6 is the last feasible one
-        with pytest.raises(ScaleRangeError, match="at most octave 6"):
+        with pytest.raises(ScaleRangeError, match="octaves up to 6"):
             dwt(Signal(np.ones(384), 1.0, "short"), db3, 8)
         assert max_feasible_octave(384, db3) == 6
         assert max_feasible_octave(383, db3) == 5
